@@ -196,18 +196,172 @@ def propagate(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle, top) -> 
 
     v = list(top)
     trace: list[tuple[int, int, int]] = []
-    weight = _run_word(
-        word.letters,
-        quandle.op,
-        quandle.inv_op,
-        v,
-        phi=cocycle.table,
-        gmul=cocycle.group.mul,
-        ginv=cocycle.group.inverse_table,
-        identity=cocycle.group.identity,
-        trace=trace,
-    )
+    weight = _run_word(word.letters, quandle.op, quandle.inv_op, v, trace=trace, **_weight_args(cocycle))
     return ColoringTrace(top=top, bottom=tuple(v), weight=weight, per_crossing=tuple(trace))
+
+
+def _weight_args(cocycle: Cocycle | None) -> dict:
+    """_run_word keyword arguments that make it accumulate cocycle weights."""
+    if cocycle is None:
+        return {}
+    group = cocycle.group
+    return {"phi": cocycle.table, "gmul": group.mul, "ginv": group.inverse_table, "identity": group.identity}
+
+
+# Largest quandle size and group order whose indices fit a 4-bit nibble,
+# so a pair of them fits one byte: the limit of the packed scan.
+PACKED_MAX = 16
+# Candidate tuples per chunk of the packed scan (one byte each per lane).
+CHUNK_TUPLES = 4**8
+
+# Maps a nonzero byte of the lane difference to a value no weight index has.
+_UNFIXED = bytes([0]) + bytes([0xF0]) * 255
+
+
+def _compile_steps(letters, quandle: QuandleTable, cocycle: Cocycle | None):
+    """Byte tables for the packed scan, one step per maximal run of a letter.
+
+    A step is (left lane, kind, table, weight table).  The table maps a
+    packed pair byte (x << 4) | y of the two lanes to: the new right
+    lane (kind 1, a single positive letter), the new left lane (kind -1,
+    a single negative letter), or the packed output pair (kind 0, a run
+    of two or more letters).  The weight table maps the same byte to the
+    step's group weight, and is None when that weight is always the
+    identity.  Tables come from _run_word on each of the |X|^2 pairs, so
+    a run costs one table look-up per tuple however long it is.
+    """
+    q = quandle.size
+    kwargs = _weight_args(cocycle)
+    identity = kwargs.get("identity", 0)
+    compiled = {}
+    steps = []
+    for letter, run in groupby(letters):
+        k = sum(1 for _ in run)
+        sign = 1 if letter > 0 else -1
+        if (sign, k) not in compiled:
+            table = bytearray(256)
+            weights = bytearray(256)
+            for x in range(q):
+                for y in range(q):
+                    v = [x, y]
+                    weights[x << 4 | y] = _run_word((sign,) * k, quandle.op, quandle.inv_op, v, **kwargs)
+                    if k > 1:
+                        table[x << 4 | y] = v[0] << 4 | v[1]
+                    else:
+                        table[x << 4 | y] = v[1] if sign > 0 else v[0]
+            trivial = all(weights[x << 4 | y] == identity for x in range(q) for y in range(q))
+            compiled[sign, k] = (0 if k > 1 else sign, bytes(table), None if trivial else bytes(weights))
+        steps.append((abs(letter) - 1,) + compiled[sign, k])
+    return steps
+
+
+def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None):
+    """The packed-column scan behind _scan; needs quandle and group sizes <= 16.
+
+    Lane j of a chunk is an integer whose little-endian bytes hold lane
+    j's color for every candidate tuple of the chunk, so one step moves
+    all of them: the two lanes are packed into pair bytes with a shift
+    and an OR, and bytes.translate looks up the step's table.  Weights
+    ride along in a column of group indices, multiplied in by the
+    translate table over (weight << 4) | step weight.  The leading lanes
+    are fixed per chunk and the trailing lanes run through all values,
+    so a chunk holds at most CHUNK_TUPLES tuples and chunks come in
+    lexicographic order.  A tuple closes up where every final lane
+    equals its top lane, i.e. at the zero bytes of the OR of their XORs.
+    """
+    q, s = quandle.size, word.strands
+    trailing = 0
+    while trailing < s and q ** (trailing + 1) <= CHUNK_TUPLES:
+        trailing += 1
+    n = q**trailing
+    steps = _compile_steps(word.letters, quandle, cocycle)
+    weighted = any(step[3] is not None for step in steps)
+    if weighted:
+        group = cocycle.group
+        gmul = bytearray(256)
+        for w in range(group.order):
+            for x in range(group.order):
+                gmul[w << 4 | x] = group.mul[w][x]
+        unit = int.from_bytes(bytes([group.identity]) * n, "little")
+
+    def column(block: int) -> int:
+        # color d at tuple index i of the chunk where (i // block) % q == d
+        pattern = b"".join(bytes([d]) * block for d in range(q))
+        return int.from_bytes(pattern * (n // (block * q)), "little")
+
+    constant = [int.from_bytes(bytes([d]) * n, "little") for d in range(q)]
+    low = int.from_bytes(b"\x0f" * n, "little")
+    tops = [column(q**p) for p in reversed(range(trailing))]
+    # tuple index i of a chunk spells the trailing colors high + low
+    low_tails = list(product(range(q), repeat=trailing // 2))
+    high_tails = list(product(range(q), repeat=trailing - trailing // 2))
+    coeffs = [0] * (cocycle.group.order if cocycle is not None else 1)
+    found = []
+    for prefix in product(range(q), repeat=s - trailing):
+        top = [constant[d] for d in prefix] + tops
+        lanes = top[:]
+        weight = unit if weighted else 0
+        for a, kind, table, weights in steps:
+            left, right = lanes[a], lanes[a + 1]
+            pair = (left << 4 | right).to_bytes(n, "little")
+            out = int.from_bytes(pair.translate(table), "little")
+            if kind > 0:
+                lanes[a], lanes[a + 1] = right, out
+            elif kind < 0:
+                lanes[a], lanes[a + 1] = out, left
+            else:
+                lanes[a], lanes[a + 1] = out >> 4 & low, out & low
+            if weights is not None:
+                factor = int.from_bytes(pair.translate(weights), "little")
+                weight = int.from_bytes((weight << 4 | factor).to_bytes(n, "little").translate(gmul), "little")
+        diff = 0
+        for lane, start in zip(lanes, top):
+            diff |= lane ^ start
+        fixed = diff.to_bytes(n, "little")
+        if cocycle is None:
+            index = fixed.find(0)
+            while index >= 0:
+                high, low_index = divmod(index, len(low_tails))
+                found.append(prefix + high_tails[high] + low_tails[low_index])
+                index = fixed.find(0, index + 1)
+        elif weighted:
+            keyed = (int.from_bytes(fixed.translate(_UNFIXED), "little") | weight).to_bytes(n, "little")
+            for g in range(len(coeffs)):
+                coeffs[g] += keyed.count(g)
+        else:
+            coeffs[cocycle.group.identity] += fixed.count(0)
+    return found if cocycle is None else coeffs
+
+
+def _scan_tuples(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None):
+    """Per-tuple reference scan through _run_word; same results as _scan_packed."""
+    kwargs = _weight_args(cocycle)
+    op, inv_op = quandle.op, quandle.inv_op
+    letters = word.letters
+    coeffs = [0] * (cocycle.group.order if cocycle is not None else 1)
+    found = []
+    for top in product(range(quandle.size), repeat=word.strands):
+        v = list(top)
+        weight = _run_word(letters, op, inv_op, v, **kwargs)
+        if tuple(v) == top:
+            found.append(top)
+            coeffs[weight] += 1
+    return found if cocycle is None else coeffs
+
+
+def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None = None):
+    """One brute-force pass over all quandle_size ** strands top tuples.
+
+    Without a cocycle, returns the closure colorings as top tuples in
+    lexicographic order; with one, returns the coefficient list of the
+    state sum over the cocycle's group.  A quandle and group of at most
+    PACKED_MAX elements each take the packed-column path, larger ones the
+    per-tuple path.
+    """
+    order = cocycle.group.order if cocycle is not None else 1
+    if quandle.size <= PACKED_MAX and order <= PACKED_MAX:
+        return _scan_packed(word, quandle, cocycle)
+    return _scan_tuples(word, quandle, cocycle)
 
 
 def enumerate_colorings(word: BraidWord, quandle: QuandleTable, budget: int = DEFAULT_BUDGET):
@@ -223,15 +377,7 @@ def enumerate_colorings(word: BraidWord, quandle: QuandleTable, budget: int = DE
             f"{total} candidate tuples exceed the budget {budget}; for Alexander "
             f"quandles use enumerate_colorings_affine instead"
         )
-    op, inv_op = quandle.op, quandle.inv_op
-    letters = word.letters
-    found = []
-    for top in product(range(quandle.size), repeat=word.strands):
-        v = list(top)
-        _run_word(letters, op, inv_op, v)
-        if tuple(v) == top:
-            found.append(top)
-    return found
+    return _scan(word, quandle)
 
 
 def _diagonalize(a: list[list[int]]):

@@ -89,6 +89,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _resolve_cache(args) -> InvariantCache | None:
     path = os.environ.get("QCJKLS_CACHE") or getattr(args, "cache", None)
     return InvariantCache(path) if path else None
@@ -474,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     inv.add_argument("braid", help='braid word, e.g. "s1^3" or "B3: s2^-3 s1^3 s2^-3"')
     inv.add_argument("--quandle", help="quandle JSON file (default: built-in 4-element quandle)")
     inv.add_argument("--cocycle", help="cocycle JSON file (default: standard cocycle)")
-    inv.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    inv.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     inv.add_argument("--assume-crossing-number", type=int, default=None)
     inv.add_argument("--cache", help="JSON-lines result cache path")
     add_format(inv)
@@ -486,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     col.add_argument("--mod", type=int, help="Alexander modulus")
     col.add_argument("--poly", help="Alexander quotient polynomial")
     col.add_argument("--affine", action="store_true", help="solve the linear fixed-point system instead of enumerating")
-    col.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    col.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     add_format(col)
     col.set_defaults(handler=_cmd_colorings)
 
@@ -495,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--n", required=True, help="index range A..B")
     fam.add_argument("--m", type=int, default=None, help="twist parameter for Km/KPrimeM")
     fam.add_argument("--verify", action="store_true", help="brute-force cross-check each member")
-    fam.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    fam.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     fam.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     fam.add_argument("--cache", help="JSON-lines result cache path")
     add_format(fam)

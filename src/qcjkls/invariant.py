@@ -14,10 +14,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 
-from .braid import BraidWord, DEFAULT_BUDGET, BudgetExceededError, _run_word, is_alternating_closure, is_reduced_closure
+from .braid import BraidWord, DEFAULT_BUDGET, BudgetExceededError, _scan, is_alternating_closure, is_reduced_closure
 from .cocycle import Cocycle, CocycleError
 from .group_algebra import GroupAlgebraElement, element_from_json
 from .quandle import QuandleTable
@@ -49,21 +48,7 @@ def cjkls_state_sum(
             f"{total} candidate tuples exceed the budget {budget}"
         )
 
-    op, inv_op = quandle.op, quandle.inv_op
-    phi = cocycle.table
-    group = cocycle.group
-    gmul = group.mul
-    ginv = group.inverse_table
-    identity = group.identity
-    letters = word.letters
-
-    coeffs = [0] * group.order
-    for top in product(range(quandle.size), repeat=word.strands):
-        v = list(top)
-        weight = _run_word(letters, op, inv_op, v, phi=phi, gmul=gmul, ginv=ginv, identity=identity)
-        if tuple(v) == top:
-            coeffs[weight] += 1
-    return GroupAlgebraElement(group, tuple(coeffs))
+    return GroupAlgebraElement(cocycle.group, tuple(_scan(word, quandle, cocycle)))
 
 
 def free_energy(z: GroupAlgebraElement) -> tuple[float, ...]:
@@ -96,6 +81,13 @@ def crossing_number_reduced_alternating(word: BraidWord) -> int:
     if not is_reduced_closure(word):
         raise NotReducedAlternatingError("closure diagram is alternating but not reduced")
     return len(word.letters)
+
+
+def _derived_crossing_number(word: BraidWord) -> int | None:
+    try:
+        return crossing_number_reduced_alternating(word)
+    except NotReducedAlternatingError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -142,34 +134,73 @@ def record_from_json(data: dict) -> InvariantRecord:
 
 
 class InvariantCache:
-    """Append-only JSON-lines store keyed by (braid, quandle id, cocycle id)."""
+    """Append-only JSON-lines store of invariant records.
+
+    Records are keyed by (braid, quandle id, cocycle id, assumed crossing
+    number).  The last is None for a record whose crossing number was
+    derived from the diagram, or assumed and equal to the derived one:
+    such a record is the one a plain computation gives, and its line is
+    written exactly as before the assumption was part of the key.  Any
+    other assumption is written as an extra "assumed_crossing_number"
+    field of the line, outside the record's own JSON.  Lines that are not
+    a valid record, such as one cut off by an interrupted write, are
+    skipped and counted in ``skipped``.
+    """
 
     def __init__(self, path):
         self.path = Path(path)
-        self._records: dict[tuple[str, str, str], InvariantRecord] = {}
+        self.skipped = 0
+        self._records: dict[tuple[str, str, str, int | None], InvariantRecord] = {}
+        self._torn_tail = False
         if self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
+            # undecodable bytes become U+FFFD, so reading a line never raises
+            with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
+                raw = ""
+                for raw in fh:
+                    line = raw.strip()
                     if not line:
                         continue
-                    rec = record_from_json(json.loads(line))
-                    self._records[(rec.braid, rec.quandle_id, rec.cocycle_id)] = rec
+                    try:
+                        data = json.loads(line)
+                        rec = record_from_json(data)
+                        key = (rec.braid, rec.quandle_id, rec.cocycle_id, data.get("assumed_crossing_number"))
+                    except (ValueError, KeyError, TypeError, AttributeError):
+                        self.skipped += 1
+                        continue
+                    self._records[key] = rec
+                self._torn_tail = bool(raw) and not raw.endswith("\n")
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def lookup(self, braid: str, quandle_id: str, cocycle_id: str) -> InvariantRecord | None:
-        return self._records.get((braid, quandle_id, cocycle_id))
+    def lookup(
+        self, braid: str, quandle_id: str, cocycle_id: str, assumed_crossing_number: int | None = None
+    ) -> InvariantRecord | None:
+        """The record for these inputs, or None.
 
-    def store(self, record: InvariantRecord) -> None:
-        key = (record.braid, record.quandle_id, record.cocycle_id)
+        A record filed without an assumption also answers an assumption
+        equal to its crossing number: both give the same record.
+        """
+        record = self._records.get((braid, quandle_id, cocycle_id, None))
+        if assumed_crossing_number is None:
+            return record
+        if record is not None and record.crossing_number == assumed_crossing_number:
+            return record
+        return self._records.get((braid, quandle_id, cocycle_id, assumed_crossing_number))
+
+    def store(self, record: InvariantRecord, assumed_crossing_number: int | None = None) -> None:
+        key = (record.braid, record.quandle_id, record.cocycle_id, assumed_crossing_number)
         if key in self._records:
             return
         self._records[key] = record
+        data = record.to_json()
+        if assumed_crossing_number is not None:
+            data["assumed_crossing_number"] = assumed_crossing_number
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+            # a line cut off without its newline must not swallow the next record
+            fh.write(("\n" if self._torn_tail else "") + json.dumps(data, sort_keys=True) + "\n")
+        self._torn_tail = False
 
 
 def compute_invariant(
@@ -186,23 +217,22 @@ def compute_invariant(
     The crossing number is taken from ``assume_crossing_number`` when
     given, otherwise derived from the diagram when its closure is
     verified reduced and alternating, otherwise left unset (and f with
-    it).  A cache hit skips all computation.
+    it).  A cache hit skips all computation.  On a cache miss under an
+    assumption equal to the crossing count, the diagram is checked once
+    more, to file a record the diagram bears out with the plain ones.
     """
     braid = word.canonical()
     quandle_id = quandle.content_hash()
     cocycle_id = cocycle.content_hash()
     if cache is not None:
-        hit = cache.lookup(braid, quandle_id, cocycle_id)
+        hit = cache.lookup(braid, quandle_id, cocycle_id, assume_crossing_number)
         if hit is not None:
             return hit
 
     z = cjkls_state_sum(word, quandle, cocycle, budget=budget)
     crossing_number = assume_crossing_number
     if crossing_number is None:
-        try:
-            crossing_number = crossing_number_reduced_alternating(word)
-        except NotReducedAlternatingError:
-            crossing_number = None
+        crossing_number = _derived_crossing_number(word)
     f = free_energy_per_crossing(z, crossing_number) if crossing_number else None
     record = InvariantRecord(
         braid=braid,
@@ -214,5 +244,9 @@ def compute_invariant(
         f=f,
     )
     if cache is not None:
-        cache.store(record)
+        assumed = assume_crossing_number
+        # a derived crossing number is always the crossing count, so only then can they agree
+        if assumed == len(word.letters) and assumed == _derived_crossing_number(word):
+            assumed = None
+        cache.store(record, assumed)
     return record

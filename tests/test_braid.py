@@ -2,9 +2,12 @@
 and the closure diagram checks (alternating, reduced)."""
 
 import random
+from itertools import product
 
 import pytest
+from _helpers import column_permutations, dihedral, random_word
 
+from qcjkls import braid
 from qcjkls.braid import (
     DEFAULT_BUDGET,
     BraidSyntaxError,
@@ -20,6 +23,7 @@ from qcjkls.braid import (
     mirror,
     parse_braid,
     propagate,
+    _scan_tuples,
 )
 from qcjkls.cocycle import build_s4_cocycle
 from qcjkls.quandle import S4_SPEC, AlexanderQuandleSpec, build_alexander_quandle, build_s4
@@ -221,6 +225,65 @@ def test_affine_matches_brute_on_random_words():
         w = BraidWord(strands, letters)
         assert enumerate_colorings_affine(w, S4_SPEC) == enumerate_colorings(w, q4)
         assert enumerate_colorings_affine(w, R3_SPEC) == enumerate_colorings(w, q3)
+
+
+# ------------------------------------------- packed scan against the oracle
+# _scan_tuples, the per-tuple _run_word loop, is the oracle; the name imported
+# here stays unpatched when the packed_only fixture makes braid's copy refuse.
+
+
+def test_packed_colorings_match_reference_for_sizes_2_to_16(packed_only):
+    rng = random.Random(2026)
+    for n in range(2, 17):
+        strands = max(2, min(6, 16 // n.bit_length()))
+        for quandle in (dihedral(n), column_permutations(rng, n)):
+            for _ in range(2):
+                word = random_word(rng, strands, rng.randint(1, 8))
+                assert enumerate_colorings(word, quandle) == _scan_tuples(word, quandle, None), (n, word)
+
+
+@pytest.mark.parametrize("chunk", [5, 16, 30])
+def test_packed_colorings_across_many_chunks(packed_only, monkeypatch, chunk):
+    rng = random.Random(chunk)
+    monkeypatch.setattr(braid, "CHUNK_TUPLES", chunk)
+    for quandle in (build_s4(), dihedral(3), column_permutations(rng, 5)):
+        for _ in range(4):
+            word = random_word(rng, rng.randint(3, 5), rng.randint(2, 8))
+            assert enumerate_colorings(word, quandle) == _scan_tuples(word, quandle, None), word
+
+
+def test_packed_colorings_at_full_chunk_size_match_affine(packed_only):
+    # 5^7 tuples make five chunks of 5^6; the affine solver is an independent oracle
+    spec = AlexanderQuandleSpec(5, (-2, 1))
+    quandle = build_alexander_quandle(spec)
+    rng = random.Random(11)
+    for _ in range(3):
+        word = random_word(rng, 7, 10)
+        assert enumerate_colorings(word, quandle) == enumerate_colorings_affine(word, spec)
+
+
+def test_packed_colorings_long_runs(packed_only):
+    quandle = dihedral(5)
+    for text in ("B3: s1^40 s2^-25 s1^-7", "B4: s3^12 s1^-33 s2^2 s3^-1", "B2: s1^-64"):
+        word = parse_braid(text)
+        assert enumerate_colorings(word, quandle) == _scan_tuples(word, quandle, None), text
+
+
+def test_packed_colorings_empty_word(packed_only):
+    assert enumerate_colorings(BraidWord(3, ()), dihedral(5)) == list(product(range(5), repeat=3))
+
+
+def test_colorings_fall_back_above_16_elements(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("packed scan used on a 17-element quandle")
+
+    monkeypatch.setattr(braid, "_scan_packed", refuse)
+    spec = AlexanderQuandleSpec(17, (1, 1))  # T = -1: the dihedral quandle on Z_17
+    quandle = build_alexander_quandle(spec)
+    rng = random.Random(17)
+    for _ in range(4):
+        word = random_word(rng, 3, 4)
+        assert enumerate_colorings(word, quandle) == enumerate_colorings_affine(word, spec), word
 
 
 def test_affine_budget_checked_before_output():

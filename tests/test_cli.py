@@ -286,3 +286,47 @@ def test_cache_env_var_overrides_flag(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert env_cache.exists()
     assert not flag_cache.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "s1^3"],
+        ["colorings", "s1^3"],
+        ["colorings", "s1^3", "--affine"],
+        ["family", "Kn", "--n", "1..2", "--verify"],
+    ],
+)
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_budget_must_be_positive(capsys, argv, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", budget])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--budget" in err
+    assert f"at least 1, got {budget}" in err
+
+
+def test_cache_hit_respects_assumed_crossing_number(capsys, tmp_path):
+    cache = str(tmp_path / "c.jsonl")
+    code, out, _ = run(capsys, ["invariant", "s1^3", "--assume-crossing-number", "7", "--cache", cache])
+    assert code == 0
+    assert "crossing_number: 7" in out
+    code, cached, _ = run(capsys, ["invariant", "s1^3", "--cache", cache, "--format", "json"])
+    assert code == 0
+    code, fresh, _ = run(capsys, ["invariant", "s1^3", "--format", "json"])
+    assert cached == fresh
+    assert json.loads(cached)["crossing_number"] == 3
+
+
+def test_torn_cache_line_is_skipped(capsys, tmp_path):
+    cache = tmp_path / "c.jsonl"
+    code, first, _ = run(capsys, ["invariant", "s1^3", "--cache", str(cache), "--format", "json"])
+    assert code == 0
+    with open(cache, "a", encoding="utf-8") as fh:
+        fh.write('{"braid": "B2: s1^-3", "Z": {"co')
+    for _ in range(2):
+        code, out, err = run(capsys, ["invariant", "s1^3", "--cache", str(cache), "--format", "json"])
+        assert (code, out, err) == (0, first, "")
+        code, out, err = run(capsys, ["invariant", "s1^-3", "--cache", str(cache), "--format", "json"])
+        assert code == 0 and err == ""

@@ -2,12 +2,15 @@
 
 import json
 import math
+import random
 
 import pytest
+from _helpers import column_permutations, dihedral, random_word
 
-from qcjkls.braid import BraidWord, parse_braid
-from qcjkls.cocycle import CocycleError, build_s4_cocycle, build_trivial_cocycle
-from qcjkls.group_algebra import GroupAlgebraElement, build_cyclic_group
+from qcjkls import braid
+from qcjkls.braid import BraidWord, _scan_tuples, enumerate_colorings_affine, parse_braid, propagate
+from qcjkls.cocycle import Cocycle, CocycleError, build_s4_cocycle, build_trivial_cocycle
+from qcjkls.group_algebra import AbelianGroup, GroupAlgebraElement, build_cyclic_group
 from qcjkls.invariant import (
     InvariantCache,
     InvariantRecord,
@@ -19,7 +22,7 @@ from qcjkls.invariant import (
     free_energy_per_crossing,
     record_from_json,
 )
-from qcjkls.quandle import build_s4, make_quandle
+from qcjkls.quandle import S4_SPEC, AlexanderQuandleSpec, build_alexander_quandle, build_s4, make_quandle
 
 TREFOIL = parse_braid("B2: s1^3")
 F_TREFOIL = (2 * math.log(2) / 3, (2 * math.log(2) + math.log(3)) / 3)
@@ -169,3 +172,184 @@ def test_state_sum_budget():
 
     with pytest.raises(BudgetExceededError):
         cjkls_state_sum(BraidWord(13, ()), build_s4(), build_s4_cocycle())
+
+
+# ------------------------------------------- packed scan against the oracle
+# _scan_tuples, the per-tuple _run_word loop, is the oracle; the name imported
+# here stays unpatched when the packed_only fixture makes braid's copy refuse.
+
+
+def _random_cocycle_table(rng, quandle, group):
+    """Random weights, identity on the diagonal; the scan never needs the cocycle condition."""
+    n = quandle.size
+    return tuple(
+        tuple(group.identity if a == b else rng.randrange(group.order) for b in range(n)) for a in range(n)
+    )
+
+
+def _random_quandle(rng, n):
+    return dihedral(n) if rng.random() < 0.5 else column_permutations(rng, n)
+
+
+def _reference_state_sum(word, cocycle):
+    return _scan_tuples(word, cocycle.quandle, cocycle)
+
+
+# Z_2 x Z_2 with the identity at index 3, so neither cyclic nor identity 0
+KLEIN = AbelianGroup(
+    order=4,
+    mul=tuple(tuple(3 ^ ((3 ^ i) ^ (3 ^ j)) for j in range(4)) for i in range(4)),
+    identity=3,
+    labels=("a", "b", "c", "1"),
+)
+
+
+def test_packed_state_sum_matches_reference_for_group_orders_1_to_16(packed_only):
+    rng = random.Random(4242)
+    for order in range(1, 17):
+        group = build_cyclic_group(order)
+        for n in (2 + order % 4, rng.randint(2, 16)):
+            quandle = _random_quandle(rng, n)
+            cocycle = Cocycle(quandle, group, _random_cocycle_table(rng, quandle, group))
+            strands = max(2, min(5, 14 // n.bit_length()))
+            word = random_word(rng, strands, rng.randint(0, 7))
+            z = cjkls_state_sum(word, quandle, cocycle)
+            assert list(z.coeffs) == _reference_state_sum(word, cocycle), (order, n, word)
+
+
+def test_packed_state_sum_over_a_non_cyclic_group(packed_only):
+    rng = random.Random(3)
+    q = build_s4()
+    cocycle = Cocycle(q, KLEIN, _random_cocycle_table(rng, q, KLEIN))
+    for _ in range(5):
+        word = random_word(rng, 4, 6)
+        assert list(cjkls_state_sum(word, q, cocycle).coeffs) == _reference_state_sum(word, cocycle)
+
+
+@pytest.mark.parametrize("chunk", [5, 16, 30])
+def test_packed_state_sum_across_many_chunks(packed_only, monkeypatch, chunk):
+    rng = random.Random(chunk)
+    monkeypatch.setattr(braid, "CHUNK_TUPLES", chunk)
+    group = build_cyclic_group(5)
+    for n in (3, 4, 5):
+        quandle = _random_quandle(rng, n)
+        cocycle = Cocycle(quandle, group, _random_cocycle_table(rng, quandle, group))
+        word = random_word(rng, 4, 6)
+        assert list(cjkls_state_sum(word, quandle, cocycle).coeffs) == _reference_state_sum(word, cocycle), word
+
+
+def test_packed_state_sum_at_full_chunk_size(packed_only):
+    # 4^9 tuples make four chunks of 4^8; the oracle weighs only the affine colorings
+    rng = random.Random(9)
+    q, c = build_s4(), build_s4_cocycle()
+    for _ in range(2):
+        word = random_word(rng, 9, 12)
+        coeffs = [0] * c.group.order
+        for top in enumerate_colorings_affine(word, S4_SPEC):
+            coeffs[propagate(word, q, c, top).weight] += 1
+        assert list(cjkls_state_sum(word, q, c).coeffs) == coeffs
+
+
+def test_packed_state_sum_long_runs(packed_only):
+    rng = random.Random(5)
+    quandle = _random_quandle(rng, 6)
+    group = build_cyclic_group(7)
+    cocycle = Cocycle(quandle, group, _random_cocycle_table(rng, quandle, group))
+    for text in ("B3: s1^40 s2^-25 s1^-7", "B4: s3^12 s1^-33 s2^2 s3^-1", "B2: s1^-64"):
+        word = parse_braid(text)
+        assert list(cjkls_state_sum(word, quandle, cocycle).coeffs) == _reference_state_sum(word, cocycle), text
+
+
+def test_packed_state_sum_empty_word(packed_only):
+    z = cjkls_state_sum(BraidWord(3, ()), build_s4(), build_s4_cocycle())
+    assert z.coeffs == (64, 0)
+
+
+def test_state_sum_falls_back_above_16(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("packed scan used beyond 16 elements")
+
+    monkeypatch.setattr(braid, "_scan_packed", refuse)
+    rng = random.Random(17)
+    group = build_cyclic_group(17)
+    for quandle, strands in ((build_s4(), 4), (build_alexander_quandle(AlexanderQuandleSpec(17, (1, 1))), 3)):
+        cocycle = Cocycle(quandle, group, _random_cocycle_table(rng, quandle, group))
+        word = random_word(rng, strands, 4)
+        assert list(cjkls_state_sum(word, quandle, cocycle).coeffs) == _reference_state_sum(word, cocycle), word
+
+
+# ---------------------------------------------------------- cache robustness
+
+
+def test_cache_key_includes_assumed_crossing_number(tmp_path):
+    path = tmp_path / "c.jsonl"
+    q, c = build_s4(), build_s4_cocycle()
+    assumed = compute_invariant(TREFOIL, q, c, assume_crossing_number=7, cache=InvariantCache(path))
+    assert assumed.crossing_number == 7
+    plain = compute_invariant(TREFOIL, q, c, cache=InvariantCache(path))
+    assert plain.crossing_number == 3
+    assert plain.f == F_TREFOIL
+    reopened = InvariantCache(path)
+    assert len(reopened) == 2
+    assert reopened.lookup(plain.braid, plain.quandle_id, plain.cocycle_id) == plain
+    assert reopened.lookup(plain.braid, plain.quandle_id, plain.cocycle_id, 7) == assumed
+    # the assumption is a field of the cache line only, not of the record
+    assert "assumed_crossing_number" not in assumed.to_json()
+    assert [json.loads(line).get("assumed_crossing_number") for line in path.read_text().splitlines()] == [7, None]
+
+
+def test_cache_assumption_that_agrees_shares_the_plain_record(tmp_path):
+    # such a line is written as one without an assumption, so cache files stay as they were
+    path = tmp_path / "c.jsonl"
+    q, c = build_s4(), build_s4_cocycle()
+    agreeing = compute_invariant(TREFOIL, q, c, assume_crossing_number=3, cache=InvariantCache(path))
+    assert path.read_text() == json.dumps(agreeing.to_json(), sort_keys=True) + "\n"
+    cache = InvariantCache(path)
+    assert compute_invariant(TREFOIL, q, c, cache=cache) == agreeing
+    assert compute_invariant(TREFOIL, q, c, assume_crossing_number=3, cache=cache) == agreeing
+    assert compute_invariant(TREFOIL, q, c, assume_crossing_number=5, cache=cache).crossing_number == 5
+    assert len(path.read_text().splitlines()) == 2
+
+
+def test_cache_skips_torn_and_foreign_lines(tmp_path):
+    path = tmp_path / "c.jsonl"
+    q, c = build_s4(), build_s4_cocycle()
+    cache = InvariantCache(path)
+    rec = compute_invariant(TREFOIL, q, c, cache=cache)
+    whole = path.read_text()
+    path.write_text(whole + "[1, 2]\n" + "not json\n" + whole[: len(whole) // 2])  # torn last line
+    reopened = InvariantCache(path)
+    assert len(reopened) == 1
+    assert reopened.skipped == 3
+    assert reopened.lookup(rec.braid, rec.quandle_id, rec.cocycle_id) == rec
+
+    # a record stored after the torn line starts on its own line
+    mirror_rec = compute_invariant(parse_braid("B2: s1^-3"), q, c, cache=reopened)
+    again = InvariantCache(path)
+    assert len(again) == 2
+    assert again.skipped == 3
+    assert again.lookup(mirror_rec.braid, mirror_rec.quandle_id, mirror_rec.cocycle_id) == mirror_rec
+
+
+def test_cache_skips_undecodable_bytes(tmp_path):
+    path = tmp_path / "c.jsonl"
+    q, c = build_s4(), build_s4_cocycle()
+    cache = InvariantCache(path)
+    words = [parse_braid(t) for t in ("B2: s1^3", "B2: s1^-3", "B3: s1 s2^-1 s1 s2^-1")]
+    recs = [compute_invariant(w, q, c, cache=cache) for w in words]
+    lines = path.read_bytes().splitlines(keepends=True)
+
+    # an invalid byte in the middle line loses that line only
+    path.write_bytes(lines[0] + b"{\xff" + lines[1][1:] + lines[2])
+    middle = InvariantCache(path)
+    assert (len(middle), middle.skipped) == (2, 1)
+    assert middle.lookup(recs[2].braid, recs[2].quandle_id, recs[2].cocycle_id) == recs[2]
+
+    # a file that ends inside a UTF-8 sequence loads, and the next record starts a new line
+    path.write_bytes(b"".join(lines[:2]) + b"\xc3")
+    tail = InvariantCache(path)
+    assert (len(tail), tail.skipped) == (2, 1)
+    compute_invariant(words[2], q, c, cache=tail)
+    again = InvariantCache(path)
+    assert (len(again), again.skipped) == (3, 1)
+    assert again.lookup(recs[2].braid, recs[2].quandle_id, recs[2].cocycle_id) == recs[2]
