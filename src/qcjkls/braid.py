@@ -1,8 +1,8 @@
 """Braid words, their closures, and quandle colorings of those closures.
 
 A braid word on s strands is a sequence of signed generator indices:
-letter +i crosses strand i over strand i+1, letter -i crosses strand i
-under strand i+1 (1-based indices, lanes i-1 and i).  Coloring a
+letter +i crosses strand i under strand i+1, letter -i crosses strand i
+over strand i+1 (1-based indices, lanes i-1 and i).  Coloring a
 closure means assigning quandle elements to the top of every lane so
 that pushing the colors through all crossings reproduces the top tuple
 at the bottom.
@@ -19,7 +19,6 @@ over-arc color).
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby, product
 from math import gcd
@@ -31,6 +30,9 @@ from .quandle import AlexanderQuandleSpec, MAX_QUANDLE_SIZE, QuandleTable
 # brute-force enumeration will walk, and on the number of colorings the
 # linear fast path will materialize.
 DEFAULT_BUDGET = 4**12
+# Cap on the letters parse_braid expands a braid text into, so that a
+# huge exponent is refused instead of materialized.
+MAX_LETTERS = 10**6
 
 
 class BraidSyntaxError(ValueError):
@@ -83,8 +85,9 @@ def parse_braid(text: str) -> BraidWord:
     """Parse "s1^3", "s2^-3 s1^3 s2^-3", or "B4: s1 s3^-2" into a BraidWord.
 
     Without a "B<s>:" prefix the strand count is one more than the
-    largest generator index.  Exponent 0 is rejected; syntax errors
-    report a character position.
+    largest generator index.  Exponent 0 is rejected, and so is a word
+    of more than MAX_LETTERS letters; syntax errors report a character
+    position.
     """
     prefix = _PREFIX.match(text)
     declared = None
@@ -111,6 +114,8 @@ def parse_braid(text: str) -> BraidWord:
         exponent = int(item.group(2)) if item.group(2) is not None else 1
         if exponent == 0:
             raise BraidSyntaxError("exponent 0 is not allowed", at)
+        if len(letters) + abs(exponent) > MAX_LETTERS:
+            raise BraidSyntaxError(f"braid word would exceed {MAX_LETTERS} letters", at)
         letters.extend([index if exponent > 0 else -index] * abs(exponent))
         max_index = max(max_index, index)
         saw_item = True
@@ -530,148 +535,88 @@ def enumerate_colorings_affine(
     return colorings
 
 
-def _closure_components(word: BraidWord):
-    """Cyclic over/under sequences (True = over) per closure component."""
-    letters = word.letters
-    lanes: list[list[int]] = [[] for _ in range(word.strands)]
-    for k, letter in enumerate(letters):
-        i = abs(letter)
-        lanes[i - 1].append(k)
-        lanes[i].append(k)
-
-    visited: set[tuple[int, str]] = set()
-    components = []
-    for k0 in range(len(letters)):
-        for side0 in ("L", "R"):
-            if (k0, side0) in visited:
-                continue
-            seq = []
-            k, side = k0, side0
-            while True:
-                visited.add((k, side))
-                letter = letters[k]
-                i = abs(letter)
-                seq.append((side == "L") == (letter < 0))
-                lane = i if side == "L" else i - 1  # strands swap at the crossing
-                steps = lanes[lane]
-                nxt = bisect_right(steps, k)
-                k2 = steps[nxt] if nxt < len(steps) else steps[0]  # wrap through closure
-                side2 = "L" if lane == abs(letters[k2]) - 1 else "R"
-                if (k2, side2) == (k0, side0):
-                    break
-                k, side = k2, side2
-            components.append(seq)
-    return components
-
-
 def is_alternating_closure(word: BraidWord) -> bool:
     """Does the closure diagram alternate over/under along every component?
 
-    Fast accept: if each generator index appears with a single sign and
-    adjacent indices carry opposite signs, the closure always
-    alternates.  Otherwise the diagram is traversed component by
-    component and each cyclic over/under sequence is checked directly.
+    Lane j is the right lane of s_j and the left lane of s_(j+1).  A
+    strand entering a crossing along lane j passes over at s_j^+ and
+    s_(j+1)^-, and under at s_j^- and s_(j+1)^+; the strand leaving along
+    lane j is the other one, so it passes the opposite way.  Passes
+    therefore alternate along lane j, closure arcs included, exactly when
+    every crossing on it is entered the same way: each generator occurs
+    with a single sign, and neighbouring generators carry opposite signs.
     """
-    signs: dict[int, int] = {}
-    uniform = True
+    signs: dict[int, bool] = {}
     for letter in word.letters:
-        i = abs(letter)
-        s = 1 if letter > 0 else -1
-        if signs.setdefault(i, s) != s:
-            uniform = False
-            break
-    if uniform and all(signs.get(i + 1, -s) != s for i, s in signs.items()):
-        return True
-
-    for seq in _closure_components(word):
-        n = len(seq)
-        if any(seq[i] == seq[(i + 1) % n] for i in range(n)):
+        positive = letter > 0
+        if signs.setdefault(abs(letter), positive) != positive:
             return False
-    return True
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        self.parent[self.find(x)] = self.find(y)
-
-
-def _closure_arc_edges(word: BraidWord):
-    """Edges joining crossing ports along arcs of the closure shadow.
-
-    Ports are numbered 4k + {0: top-left, 1: top-right, 2: bottom-left,
-    3: bottom-right} for crossing k.
-    """
-    edges = []
-    pending = [None] * word.strands
-    first = [None] * word.strands
-    for k, letter in enumerate(word.letters):
-        i = abs(letter)
-        for lane, top_port, bottom_port in ((i - 1, 4 * k, 4 * k + 2), (i, 4 * k + 1, 4 * k + 3)):
-            if pending[lane] is None:
-                first[lane] = top_port
-            else:
-                edges.append((pending[lane], top_port))
-            pending[lane] = bottom_port
-    for lane in range(word.strands):
-        if pending[lane] is not None:
-            edges.append((pending[lane], first[lane]))  # braid closure wraps each lane
-    return edges
+    return all(signs.get(i + 1, not positive) != positive for i, positive in signs.items())
 
 
 def is_reduced_closure(word: BraidWord) -> bool:
     """No crossing of the closure diagram is nugatory.
 
-    A crossing is nugatory exactly when one of its two smoothings
-    disconnects the shadow, so each crossing is smoothed both ways in a
-    union-find over crossing ports; only the connected component the
-    crossing lives in is compared.  Crossing-free circles (trivial
-    lanes, split unknots) never make a crossing nugatory and are
-    ignored.  The empty word is reduced.
+    The shadow of the closure is a planar 4-valent graph: its vertices
+    are the crossings, and an arc joins each pair of crossings that
+    follow each other along a lane, the last one wrapping round to the
+    first.  A crossing is nugatory exactly when it carries a kink loop
+    (it is alone on a lane) or is a cut vertex of its connected
+    component: removing a cut vertex splits its four edge ends 2 + 2,
+    planarity makes the two ends on each side adjacent, so one of the
+    two smoothings disconnects the shadow.  Cut vertices come from an
+    iterative Hopcroft-Tarjan depth-first search, so the check is
+    O(crossings).  Crossing-free circles (trivial lanes, split unknots)
+    add no vertex and never make a crossing nugatory.  The empty word is
+    reduced.
     """
     c = len(word.letters)
-    if c == 0:
-        return True
-    edges = _closure_arc_edges(word)
-    nodes = 4 * c
+    lanes: list[list[int]] = [[] for _ in range(word.strands)]
+    for k, letter in enumerate(word.letters):
+        i = abs(letter)
+        lanes[i - 1].append(k)
+        lanes[i].append(k)
+    adjacent: list[list[int]] = [[] for _ in range(c)]
+    for lane in lanes:
+        if len(lane) == 1:
+            return False
+        for u, v in zip(lane[-1:] + lane[:-1], lane):
+            adjacent[u].append(v)
+            adjacent[v].append(u)
 
-    def build(smooth_at: int | None, horizontal: bool) -> _UnionFind:
-        uf = _UnionFind(nodes)
-        for x, y in edges:
-            uf.union(x, y)
-        for k in range(c):
-            base = 4 * k
-            if k == smooth_at:
-                if horizontal:
-                    uf.union(base, base + 1)
-                    uf.union(base + 2, base + 3)
-                else:
-                    uf.union(base, base + 2)
-                    uf.union(base + 1, base + 3)
+    order = [0] * c  # 1-based discovery index, 0 while unvisited
+    low = [0] * c
+    counter = 0
+    for root in range(c):
+        if order[root]:
+            continue
+        counter += 1
+        order[root] = low[root] = counter
+        root_children = 0
+        stack = [(root, iter(adjacent[root]))]
+        while stack:
+            u, neighbours = stack[-1]
+            for v in neighbours:
+                if not order[v]:
+                    counter += 1
+                    order[v] = low[v] = counter
+                    stack.append((v, iter(adjacent[v])))
+                    break
+                if order[v] < low[u]:
+                    low[u] = order[v]
             else:
-                uf.union(base, base + 1)
-                uf.union(base, base + 2)
-                uf.union(base, base + 3)
-        return uf
-
-    baseline = build(None, False)
-    for tau in range(c):
-        home = baseline.find(4 * tau)
-        local = [p for p in range(nodes) if baseline.find(p) == home]
-        for horizontal in (False, True):
-            uf = build(tau, horizontal)
-            roots = {uf.find(p) for p in local}
-            if len(roots) > 1:
-                return False
+                stack.pop()
+                if not stack:
+                    break
+                parent = stack[-1][0]
+                if parent == root:
+                    root_children += 1
+                elif low[u] >= order[parent]:
+                    return False
+                if low[u] < low[parent]:
+                    low[parent] = low[u]
+        if root_children > 1:
+            return False
     return True
 
 

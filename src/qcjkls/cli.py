@@ -109,9 +109,14 @@ def _load_quandle_cocycle(args):
 
     Defaults to the 4-element quandle with its standard cocycle.  A
     custom quandle without a cocycle gets the trivial cocycle over Z_2.
+    A cocycle file must satisfy the 2-cocycle condition, or the state
+    sum would not be an invariant.
     """
     if getattr(args, "cocycle", None):
         cocycle = load_cocycle(args.cocycle)
+        report = verify_cocycle(cocycle)
+        if not report.ok:
+            raise CocycleError(f"{args.cocycle} is not a 2-cocycle: {report.lines(cocycle.quandle.labels)[0]}")
         if getattr(args, "quandle", None):
             quandle = load_quandle(args.quandle)
             if quandle.op != cocycle.quandle.op:

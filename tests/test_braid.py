@@ -2,10 +2,10 @@
 and the closure diagram checks (alternating, reduced)."""
 
 import random
-from itertools import product
+from itertools import groupby, product
 
 import pytest
-from _helpers import column_permutations, dihedral, random_word
+from _helpers import column_permutations, dihedral, random_word, reference_reduced
 
 from qcjkls import braid
 from qcjkls.braid import (
@@ -27,6 +27,7 @@ from qcjkls.braid import (
 )
 from qcjkls.cocycle import build_s4_cocycle
 from qcjkls.quandle import S4_SPEC, AlexanderQuandleSpec, build_alexander_quandle, build_s4
+from qcjkls.sequences import FamilyId, family_braid
 
 TREFOIL = parse_braid("B2: s1^3")
 R3_SPEC = AlexanderQuandleSpec(3, (-2, 1))
@@ -75,6 +76,15 @@ def test_canonical_round_trip():
 def test_canonical_merges_runs():
     assert parse_braid("B2: s1 s1 s1").canonical() == "B2: s1^3"
     assert parse_braid("B3: s1 s1 s2^-1 s2^-1 s1").canonical() == "B3: s1^2 s2^-2 s1"
+
+
+def test_parse_caps_word_length(monkeypatch):
+    monkeypatch.setattr(braid, "MAX_LETTERS", 10)
+    assert len(parse_braid("s1^-4 s2^6").letters) == 10
+    with pytest.raises(BraidSyntaxError) as err:
+        parse_braid("s1^-4 s2^6 s1")
+    assert err.value.position == 11
+    assert len(family_braid(FamilyId("K0"), 2).letters) == 15  # library words are not capped
 
 
 def test_parse_errors_carry_positions():
@@ -355,6 +365,38 @@ def test_reduced_goldens():
     assert not is_reduced_closure(parse_braid("B2: s1"))  # single kink
     assert not is_reduced_closure(parse_braid("B3: s2"))
     assert not is_reduced_closure(parse_braid("B3: s1^3 s2"))  # nugatory join
+
+
+def _shape(word):
+    """Which kinds of diagram the reducedness comparison has to cover."""
+    used = {abs(l) for l in word.letters}
+    once = {i for i in used if sum(abs(l) == i for l in word.letters) == 1}
+    return {
+        "empty": not word.letters,
+        "trivial lane": any(j not in used and j + 1 not in used for j in range(word.strands)),
+        "split": any(i + 1 not in used and max(used) > i + 1 for i in used),
+        "single kink": any(i - 1 not in used and i + 1 not in used for i in once),
+        "long run": any(sum(1 for _ in run) >= 5 for _, run in groupby(word.letters)),
+    }
+
+
+def test_closure_checks_match_references_on_random_words():
+    rng = random.Random(4213)
+    words = [parse_braid(text) for text in ("B2:", "B2: s1", "B2: s1^-9", "B5: s1^3 s4^-6")]
+    while len(words) < 5000:
+        strands = rng.randint(2, 6)
+        words.append(random_word(rng, strands, rng.randint(0, 6), longest=rng.choice((1, 2, 3, 6))))
+    covered = dict.fromkeys(_shape(words[0]), 0)
+    verdicts = set()
+    for w in words:
+        reduced = is_reduced_closure(w)
+        assert reduced == reference_reduced(w), w.canonical()
+        assert is_alternating_closure(w) == _reference_alternating(w), w.canonical()
+        verdicts.add(reduced)
+        for kind, present in _shape(w).items():
+            covered[kind] += present
+    assert verdicts == {False, True}
+    assert min(covered.values()) >= 100, covered
 
 
 def test_analyze_closure():

@@ -75,6 +75,18 @@ def test_braid_syntax_error_exits_2(capsys):
     assert "position" in err
 
 
+def test_huge_exponent_exits_2(capsys):
+    code, out, err = run(capsys, ["invariant", "s1^99999999"])
+    assert (code, out) == (2, "")
+    assert "exceed 1000000 letters (at position 0)" in err
+
+
+def test_exponent_sum_over_cap_exits_2(capsys):
+    code, out, err = run(capsys, ["invariant", "B3: s1^600000 s2 s1^-400000"])
+    assert (code, out) == (2, "")
+    assert "exceed 1000000 letters (at position 17)" in err
+
+
 def test_budget_error_exits_1(capsys):
     code, out, err = run(capsys, ["invariant", "B13:", "--budget", "1000"])
     assert code == 1
@@ -181,6 +193,24 @@ def test_cocycle_check(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, ["cocycle", "check", str(path)])
     assert code == 1
+
+
+def test_invariant_verifies_cocycle_file(capsys, tmp_path):
+    path = tmp_path / "phi.json"
+    save_cocycle(build_s4_cocycle(), path)
+    code, out, err = run(capsys, ["invariant", "s1^3", "--cocycle", str(path), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["Z"]["coeffs"] == ["4", "12"]
+
+    doc = json.loads(path.read_text())
+    doc["table"][0][1] = 0  # phi(a, a) stays the identity; the 2-cocycle condition breaks
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["invariant", "s1^3", "--cocycle", str(path)])
+    assert (code, out) == (2, "")
+    assert "is not a 2-cocycle: cocycle condition fails at (0, 1, 0)" in err
+    code, out, err = run(capsys, ["cocycle", "check", str(path)])
+    assert code == 1
+    assert len(out.splitlines()) == 10  # the full report, not just the first triple
 
 
 def test_invariant_with_quandle_file_uses_trivial_cocycle(capsys, tmp_path):
