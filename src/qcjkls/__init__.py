@@ -12,10 +12,8 @@ from .braid import (
     BraidSyntaxError,
     BraidWord,
     BudgetExceededError,
-    ClosureDiagram,
     ColoringTrace,
     DEFAULT_BUDGET,
-    analyze_closure,
     enumerate_colorings,
     enumerate_colorings_affine,
     is_alternating_closure,

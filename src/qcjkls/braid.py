@@ -33,6 +33,8 @@ DEFAULT_BUDGET = 4**12
 # Cap on the letters parse_braid expands a braid text into, so that a
 # huge exponent is refused instead of materialized.
 MAX_LETTERS = 10**6
+# Longest numeral (leading zeros dropped) parse_braid converts with int().
+_MAX_DIGITS = len(str(MAX_LETTERS))
 
 
 class BraidSyntaxError(ValueError):
@@ -77,22 +79,24 @@ class BraidWord:
         return self.canonical()
 
 
-_PREFIX = re.compile(r"\s*B(\d+):")
-_ITEM = re.compile(r"s(\d+)(?:\^([+-]?\d+))?\Z")
+_PREFIX = re.compile(r"\s*B0*(\d+):")
+_ITEM = re.compile(r"s0*(\d+)(?:\^([+-]?)0*(\d+))?\Z")
 
 
 def parse_braid(text: str) -> BraidWord:
     """Parse "s1^3", "s2^-3 s1^3 s2^-3", or "B4: s1 s3^-2" into a BraidWord.
 
     Without a "B<s>:" prefix the strand count is one more than the
-    largest generator index.  Exponent 0 is rejected, and so is a word
-    of more than MAX_LETTERS letters; syntax errors report a character
-    position.
+    largest generator index.  Exponent 0, numerals with more digits than
+    MAX_LETTERS and words of more than MAX_LETTERS letters are rejected;
+    syntax errors report a character position.
     """
     prefix = _PREFIX.match(text)
     declared = None
     start = 0
     if prefix:
+        if len(prefix.group(1)) > _MAX_DIGITS:
+            raise BraidSyntaxError(f"strand count has more than {_MAX_DIGITS} digits", 0)
         declared = int(prefix.group(1))
         if declared < 2:
             raise BraidSyntaxError(f"strand count must be >= 2, got {declared}", 0)
@@ -106,12 +110,17 @@ def parse_braid(text: str) -> BraidWord:
         item = _ITEM.match(token.group(0))
         if not item:
             raise BraidSyntaxError(f"expected s<i> or s<i>^<e>, got {token.group(0)!r}", at)
-        index = int(item.group(1))
+        index_digits, sign, exponent_digits = item.groups("")
+        if len(index_digits) > _MAX_DIGITS:
+            raise BraidSyntaxError(f"generator index has more than {_MAX_DIGITS} digits", at)
+        index = int(index_digits)
         if index < 1:
             raise BraidSyntaxError("generator indices start at 1", at)
         if declared is not None and index >= declared:
             raise BraidSyntaxError(f"generator s{index} does not exist on {declared} strands", at)
-        exponent = int(item.group(2)) if item.group(2) is not None else 1
+        if len(exponent_digits) > _MAX_DIGITS:
+            raise BraidSyntaxError(f"braid word would exceed {MAX_LETTERS} letters", at)
+        exponent = int(sign + exponent_digits) if exponent_digits else 1
         if exponent == 0:
             raise BraidSyntaxError("exponent 0 is not allowed", at)
         if len(letters) + abs(exponent) > MAX_LETTERS:
@@ -619,21 +628,3 @@ def is_reduced_closure(word: BraidWord) -> bool:
             return False
     return True
 
-
-@dataclass(frozen=True)
-class ClosureDiagram:
-    """Summary of the closure diagram of a braid word."""
-
-    braid: BraidWord
-    crossing_count: int
-    alternating: bool
-    reduced: bool
-
-
-def analyze_closure(word: BraidWord) -> ClosureDiagram:
-    return ClosureDiagram(
-        braid=word,
-        crossing_count=len(word.letters),
-        alternating=is_alternating_closure(word),
-        reduced=is_reduced_closure(word),
-    )

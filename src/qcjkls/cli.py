@@ -23,7 +23,6 @@ import re
 import sys
 
 from .braid import (
-    BraidSyntaxError,
     BudgetExceededError,
     DEFAULT_BUDGET,
     enumerate_colorings,
@@ -42,7 +41,6 @@ from .invariant import InvariantCache, compute_invariant
 from .limits import DEFAULT_TOLERANCE, Box, closed_form_limit, distinguish_limits, limit_estimate
 from .quandle import (
     AlexanderQuandleSpec,
-    MalformedTableError,
     QuandleError,
     S4_SPEC,
     build_alexander_quandle,
@@ -170,7 +168,7 @@ def _cmd_quandle_build(args) -> int:
 def _cmd_quandle_check(args) -> int:
     try:
         quandle = load_quandle(args.file)
-    except (QuandleError, MalformedTableError, ValueError) as exc:
+    except (QuandleError, ValueError) as exc:
         print(f"load error: {exc}")
         return 1
     report = verify_quandle_axioms(quandle)
@@ -185,7 +183,7 @@ def _cmd_quandle_check(args) -> int:
 def _cmd_cocycle_check(args) -> int:
     try:
         cocycle = load_cocycle(args.file)
-    except (CocycleError, QuandleError, MalformedTableError, ValueError) as exc:
+    except (CocycleError, QuandleError, ValueError) as exc:
         print(f"load error: {exc}")
         return 1
     report = verify_cocycle(cocycle)
@@ -463,8 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
+    def add_format(p, choices=("pretty", "json", "csv")):
+        p.add_argument("--format", choices=choices, default="pretty")
 
     q = sub.add_parser("quandle", help="build or check quandle tables")
     qsub = q.add_subparsers(dest="subcommand", required=True)
@@ -473,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     qb.add_argument("--mod", type=int, help="coefficient modulus for alexander")
     qb.add_argument("--poly", help='quotient polynomial, e.g. "T^2+T+1" or "T-2"')
     qb.add_argument("--out", help="write the quandle JSON to this file")
-    add_format(qb)
+    add_format(qb, ("pretty", "json"))
     qb.set_defaults(handler=_cmd_quandle_build)
     qc = qsub.add_parser("check", help="verify the quandle axioms of a file")
     qc.add_argument("file")
@@ -520,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lim.add_argument("--families", required=True, help='comma list, e.g. "Kn,K0,KPrime,Km:1"')
     lim.add_argument("--n", default="1..200", help="sample range A..B (default 1..200)")
     lim.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    add_format(lim)
+    add_format(lim, ("pretty", "json"))
     lim.set_defaults(handler=_cmd_limits)
 
     return parser
@@ -531,16 +529,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except BraidSyntaxError as exc:
+    except (QuandleError, CocycleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuandleError, CocycleError, MalformedTableError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BudgetExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

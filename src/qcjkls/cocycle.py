@@ -33,9 +33,6 @@ class Cocycle:
     group: AbelianGroup
     table: tuple[tuple[int, ...], ...]
 
-    def value(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def to_json(self) -> dict:
         return {
             "quandle": self.quandle.to_json(),

@@ -35,47 +35,6 @@ class AbelianGroup:
                 raise ValueError(f"group element {i} has no inverse")
         return tuple(inv)
 
-    def multiply(self, i: int, j: int) -> int:
-        return self.mul[i][j]
-
-    def inverse(self, i: int) -> int:
-        return self.inverse_table[i]
-
-    def power(self, i: int, exponent: int) -> int:
-        if exponent < 0:
-            return self.power(self.inverse(i), -exponent)
-        acc = self.identity
-        for _ in range(exponent):
-            acc = self.mul[acc][i]
-        return acc
-
-    def validate(self) -> list[str]:
-        """Return a list of structure problems; empty means a valid abelian group."""
-        issues = []
-        n = self.order
-        if len(self.mul) != n or any(len(row) != n for row in self.mul):
-            return [f"multiplication table is not {n}x{n}"]
-        if any(not 0 <= v < n for row in self.mul for v in row):
-            return ["multiplication table entry out of range"]
-        if not 0 <= self.identity < n:
-            return [f"identity index {self.identity} out of range"]
-        for i in range(n):
-            if self.mul[self.identity][i] != i or self.mul[i][self.identity] != i:
-                issues.append(f"{i} is not fixed by the identity")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.mul[i][j] != self.mul[j][i]:
-                    issues.append(f"not commutative at ({i}, {j})")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.mul[self.mul[i][j]][k] != self.mul[i][self.mul[j][k]]:
-                        issues.append(f"not associative at ({i}, {j}, {k})")
-        for i in range(n):
-            if self.identity not in {self.mul[i][j] for j in range(n)}:
-                issues.append(f"{i} has no inverse")
-        return issues
-
 
 def build_cyclic_group(order: int) -> AbelianGroup:
     """Cyclic group of the given order with labels 1, t, t^2, ..."""
@@ -107,21 +66,8 @@ class GroupAlgebraElement:
         if any(c < 0 for c in self.coeffs):
             raise ValueError("group algebra coefficients must be non-negative")
 
-    @classmethod
-    def zero(cls, group: AbelianGroup) -> "GroupAlgebraElement":
-        return cls(group, (0,) * group.order)
-
-    def accumulate(self, index: int) -> "GroupAlgebraElement":
-        """Return a copy with the coefficient of group element ``index`` bumped by 1."""
-        coeffs = list(self.coeffs)
-        coeffs[index] += 1
-        return GroupAlgebraElement(self.group, tuple(coeffs))
-
     def coefficient_sum(self) -> int:
         return sum(self.coeffs)
-
-    def as_vector(self) -> tuple[float, ...]:
-        return tuple(float(c) for c in self.coeffs)
 
     def __str__(self) -> str:
         parts = [f"{c}*{lbl}" for c, lbl in zip(self.coeffs, self.group.labels) if c]

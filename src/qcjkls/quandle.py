@@ -259,24 +259,11 @@ class ResidueRing:
                 return i
         raise QuandleError(
             f"T (= {self.label(self.t)}) is not invertible in "
-            f"Z_{self.modulus}[T]/({self.poly_label()})"
+            f"Z_{self.modulus}[T]/({_poly_text(self.poly)})"
         )
 
     def label(self, index: int) -> str:
-        terms = []
-        for deg in range(self.degree - 1, -1, -1):
-            c = self.elements[index][deg]
-            if c == 0:
-                continue
-            if deg == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c)
-                terms.append(f"{head}T" if deg == 1 else f"{head}T^{deg}")
-        return "+".join(terms) if terms else "0"
-
-    def poly_label(self) -> str:
-        return _poly_text(self.poly)
+        return _poly_text(self.elements[index]) or "0"
 
 
 @dataclass(frozen=True)

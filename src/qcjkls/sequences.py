@@ -147,20 +147,18 @@ def family_crossing_number(family: FamilyId, n: int) -> int:
 
 
 def binomial_sums(m: int) -> tuple[int, int]:
-    """(sum over even k, sum over odd k) of C(m, k) * 3^k; exact integers."""
+    """(sum over even k, sum over odd k) of C(m, k) * 3^k: (4^m +- (-2)^m) / 2."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    even = sum(math.comb(m, k) * 3**k for k in range(0, m + 1, 2))
-    odd = sum(math.comb(m, k) * 3**k for k in range(1, m + 1, 2))
-    return even, odd
+    return (4**m + (-2) ** m) // 2, (4**m - (-2) ** m) // 2
 
 
 def _closed_coeffs(family: FamilyId, n: int) -> tuple[int, int]:
     if family.kind in ("Kn", "Km"):
         return 4**n, 3 * 4**n
     if family.kind in ("KPrime", "KPrimeM"):
-        half = (n + 1) // 2 if n % 2 == 1 else n // 2
-        power = half if n % 2 == 1 else half + 1
+        half = (n + 1) // 2
+        power = n // 2 + 1
         even, odd = binomial_sums(half)
         return 4**power * even, 4**power * odd
     return 4 ** (2 * n - 1), 3 * 4 ** (2 * n - 1)
@@ -186,8 +184,8 @@ def family_closed_f(family: FamilyId, n: int) -> tuple[float, float]:
     if family.kind in ("Kn", "Km", "K0"):
         power = n if family.kind in ("Kn", "Km") else 2 * n - 1
         return (2 * power * _LN2 / c, (2 * power * _LN2 + _LN3) / c)
-    half = (n + 1) // 2 if n % 2 == 1 else n // 2
-    power = half if n % 2 == 1 else half + 1
+    half = (n + 1) // 2
+    power = n // 2 + 1
     even, odd = binomial_sums(half)
     return (
         (2 * power * _LN2 + math.log(even)) / c,

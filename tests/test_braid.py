@@ -13,7 +13,6 @@ from qcjkls.braid import (
     BraidSyntaxError,
     BraidWord,
     BudgetExceededError,
-    analyze_closure,
     enumerate_colorings,
     enumerate_colorings_affine,
     is_alternating_closure,
@@ -397,13 +396,3 @@ def test_closure_checks_match_references_on_random_words():
             covered[kind] += present
     assert verdicts == {False, True}
     assert min(covered.values()) >= 100, covered
-
-
-def test_analyze_closure():
-    d = analyze_closure(TREFOIL)
-    assert d.crossing_count == 3
-    assert d.alternating
-    assert d.reduced
-    d = analyze_closure(parse_braid("B3: s1 s2"))
-    assert d.crossing_count == 2
-    assert not d.alternating

@@ -79,6 +79,13 @@ def test_huge_exponent_exits_2(capsys):
     code, out, err = run(capsys, ["invariant", "s1^99999999"])
     assert (code, out) == (2, "")
     assert "exceed 1000000 letters (at position 0)" in err
+    # numerals too long for int() are refused at their token, not by Python
+    nines = "9" * 5000
+    for text in (f"s1^{nines}", f"s{nines}", f"B{nines}: s1"):
+        code, out, err = run(capsys, ["invariant", text])
+        assert (code, out) == (2, ""), text[:12]
+        assert "at position" in err
+        assert "int_max_str_digits" not in err
 
 
 def test_exponent_sum_over_cap_exits_2(capsys):
@@ -289,6 +296,19 @@ def test_limits_pretty_matrix(capsys):
     assert "limit[Kn]" in out
     assert "DISTINCT" in out
     assert "OVERLAPPING" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["limits", "--families", "Kn", "--n", "1..3"], ["quandle", "build", "s4"]],
+)
+def test_csv_format_is_a_usage_error_without_a_csv_output(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "csv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--format" in err
+    assert "invalid choice: 'csv'" in err
 
 
 def test_limits_needs_enough_samples(capsys):

@@ -36,12 +36,12 @@ def test_standard_table_golden():
 def test_standard_values():
     c = build_s4_cocycle()
     t = 1
-    assert c.value(0, 1) == t
-    assert c.value(1, 0) == t
+    assert c.table[0][1] == t
+    assert c.table[1][0] == t
     for a in range(4):
-        assert c.value(a, a) == 0
-        assert c.value(2, a) == 0
-        assert c.value(a, 2) == 0
+        assert c.table[a][a] == 0
+        assert c.table[2][a] == 0
+        assert c.table[a][2] == 0
 
 
 def test_standard_cocycle_verifies():
@@ -86,7 +86,7 @@ def test_twist_block_weight_detects_unequal_pairs():
             w = twist_block_weight(c, a, b)
             assert w == (0 if a == b else 1)
             ab = op[a][b]
-            assert w == mul[mul[c.value(a, b)][c.value(b, ab)]][c.value(ab, a)]
+            assert w == mul[mul[c.table[a][b]][c.table[b][ab]]][c.table[ab][a]]
 
 
 def test_json_round_trip(tmp_path):

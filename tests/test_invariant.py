@@ -60,7 +60,7 @@ def test_free_energy_extended_log():
     g = build_cyclic_group(2)
     assert free_energy(GroupAlgebraElement(g, (4, 12))) == (math.log(4), math.log(12))
     assert free_energy(GroupAlgebraElement(g, (0, 5))) == (0.0, math.log(5))
-    assert free_energy(GroupAlgebraElement.zero(g)) == (0.0, 0.0)
+    assert free_energy(GroupAlgebraElement(g, (0, 0))) == (0.0, 0.0)
 
 
 def test_free_energy_handles_big_integers():

@@ -87,12 +87,12 @@ def test_binomial_sums_goldens():
 
 
 def test_binomial_sums_closed_form():
-    # sum of C(m,k) 3^k over even/odd k equals (4^m +- (-2)^m) / 2
-    for m in range(1, 201):
-        even, odd = binomial_sums(m)
-        assert even + odd == 4**m
-        assert even == (4**m + (-2) ** m) // 2
-        assert odd == (4**m - (-2) ** m) // 2
+    # the closed form (4^m +- (-2)^m) / 2 against the sums it replaces:
+    # C(m,k) 3^k summed over even and over odd k
+    for m in range(0, 201):
+        even = sum(math.comb(m, k) * 3**k for k in range(0, m + 1, 2))
+        odd = sum(math.comb(m, k) * 3**k for k in range(1, m + 1, 2))
+        assert binomial_sums(m) == (even, odd)
 
 
 def test_binomial_sums_inequalities():
