@@ -363,17 +363,23 @@ def _scan_tuples(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
     return found if cocycle is None else coeffs
 
 
-def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None = None):
+def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, budget: int):
     """One brute-force pass over all quandle_size ** strands top tuples.
 
-    Without a cocycle, returns the closure colorings as top tuples in
-    lexicographic order; with one, returns the coefficient list of the
-    state sum over the cocycle's group.  A quandle and group of at most
-    PACKED_MAX elements each take the packed-column path, larger ones the
-    per-tuple path.
+    Raises BudgetExceededError, before any work, when that count exceeds
+    the budget.  Without a cocycle, returns the closure colorings as top
+    tuples in lexicographic order; with one, returns the coefficient
+    list of the state sum over the cocycle's group.  A quandle and group
+    of at most PACKED_MAX elements each take the packed-column path,
+    larger ones the per-tuple path.
     """
+    q, s = quandle.size, word.strands
+    # exact q ** s > budget: capping s at budget.bit_length() + 1 keeps the power small,
+    # and any q >= 2 raised to that cap already exceeds the budget
+    if q ** min(s, budget.bit_length() + 1) > budget:
+        raise BudgetExceededError(f"{q}^{s} candidate tuples exceed the budget {budget}")
     order = cocycle.group.order if cocycle is not None else 1
-    if quandle.size <= PACKED_MAX and order <= PACKED_MAX:
+    if q <= PACKED_MAX and order <= PACKED_MAX:
         return _scan_packed(word, quandle, cocycle)
     return _scan_tuples(word, quandle, cocycle)
 
@@ -381,17 +387,9 @@ def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None = None
 def enumerate_colorings(word: BraidWord, quandle: QuandleTable, budget: int = DEFAULT_BUDGET):
     """All closure colorings as top tuples, in lexicographic index order.
 
-    Walks every quandle_size ** strands candidate; raises
-    BudgetExceededError with a pointer at enumerate_colorings_affine
-    when that count exceeds the budget.
+    Walks every quandle_size ** strands candidate, subject to ``budget``.
     """
-    total = quandle.size**word.strands
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} candidate tuples exceed the budget {budget}; for Alexander "
-            f"quandles use enumerate_colorings_affine instead"
-        )
-    return _scan(word, quandle)
+    return _scan(word, quandle, None, budget)
 
 
 def _diagonalize(a: list[list[int]]):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -49,7 +50,7 @@ from .quandle import (
     save_quandle,
     verify_quandle_axioms,
 )
-from .sequences import FamilyId, family_point, parse_family_id
+from .sequences import FamilyId, family_closed_f, family_point, parse_family_id
 
 _TERM = re.compile(r"(\d+)?(?:T(?:\^(\d+))?)?\Z")
 
@@ -87,7 +88,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _budget(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -233,7 +234,8 @@ def _cmd_invariant(args) -> int:
         print(f"colorings: {record.coloring_count}")
         if record.crossing_number is not None:
             print(f"crossing_number: {record.crossing_number}")
-            print(f"f: {_floats(record.f)}")
+            # an empty word has crossing number 0 and no per-crossing free energy
+            print(f"f: {_floats(record.f) if record.f is not None else 'unavailable'}")
         else:
             print("crossing_number: unknown (closure not verified reduced alternating; pass --assume-crossing-number)")
             print("f: unavailable")
@@ -419,7 +421,7 @@ def _cmd_limits(args) -> int:
 
     reports = []
     for family in families:
-        samples = [(n, family_point(family, n).closed_f) for n in range(lo, hi + 1)]
+        samples = [(n, family_closed_f(family, n)) for n in range(lo, hi + 1)]
         reports.append(
             limit_estimate(
                 samples,
@@ -453,6 +455,7 @@ def _cmd_limits(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcjkls",
@@ -487,8 +490,8 @@ def _build_parser() -> argparse.ArgumentParser:
     inv.add_argument("braid", help='braid word, e.g. "s1^3" or "B3: s2^-3 s1^3 s2^-3"')
     inv.add_argument("--quandle", help="quandle JSON file (default: built-in 4-element quandle)")
     inv.add_argument("--cocycle", help="cocycle JSON file (default: standard cocycle)")
-    inv.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-    inv.add_argument("--assume-crossing-number", type=int, default=None)
+    inv.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
+    inv.add_argument("--assume-crossing-number", type=_positive_int, default=None)
     inv.add_argument("--cache", help="JSON-lines result cache path")
     add_format(inv)
     inv.set_defaults(handler=_cmd_invariant)
@@ -499,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     col.add_argument("--mod", type=int, help="Alexander modulus")
     col.add_argument("--poly", help="Alexander quotient polynomial")
     col.add_argument("--affine", action="store_true", help="solve the linear fixed-point system instead of enumerating")
-    col.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+    col.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     add_format(col)
     col.set_defaults(handler=_cmd_colorings)
 
@@ -508,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--n", required=True, help="index range A..B")
     fam.add_argument("--m", type=int, default=None, help="twist parameter for Km/KPrimeM")
     fam.add_argument("--verify", action="store_true", help="brute-force cross-check each member")
-    fam.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+    fam.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     fam.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     fam.add_argument("--cache", help="JSON-lines result cache path")
     add_format(fam)

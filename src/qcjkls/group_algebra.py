@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,9 @@ class AbelianGroup:
         return tuple(inv)
 
 
+@cache
 def build_cyclic_group(order: int) -> AbelianGroup:
-    """Cyclic group of the given order with labels 1, t, t^2, ..."""
+    """Cyclic group of the given order with labels 1, t, t^2, ...; built once per order."""
     if order < 1:
         raise ValueError(f"group order must be >= 1, got {order}")
     mul = tuple(tuple((i + j) % order for j in range(order)) for i in range(order))
@@ -48,7 +49,8 @@ def build_cyclic_group(order: int) -> AbelianGroup:
 def group_from_labels(labels) -> AbelianGroup:
     """Rebuild the cyclic group a serialized element was written over."""
     group = build_cyclic_group(len(labels))
-    return AbelianGroup(group.order, group.mul, group.identity, tuple(labels))
+    labels = tuple(labels)
+    return group if labels == group.labels else AbelianGroup(group.order, group.mul, group.identity, labels)
 
 
 @dataclass(frozen=True)

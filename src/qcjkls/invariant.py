@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .braid import BraidWord, DEFAULT_BUDGET, BudgetExceededError, _scan, is_alternating_closure, is_reduced_closure
+from .braid import BraidWord, DEFAULT_BUDGET, _scan, is_alternating_closure, is_reduced_closure
 from .cocycle import Cocycle, CocycleError
 from .group_algebra import GroupAlgebraElement, element_from_json
 from .quandle import QuandleTable
@@ -42,13 +42,7 @@ def cjkls_state_sum(
     """
     if cocycle.quandle.op != quandle.op:
         raise CocycleError("cocycle is defined over a different quandle")
-    total = quandle.size**word.strands
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} candidate tuples exceed the budget {budget}"
-        )
-
-    return GroupAlgebraElement(cocycle.group, tuple(_scan(word, quandle, cocycle)))
+    return GroupAlgebraElement(cocycle.group, tuple(_scan(word, quandle, cocycle, budget)))
 
 
 def free_energy(z: GroupAlgebraElement) -> tuple[float, ...]:
@@ -136,21 +130,18 @@ def record_from_json(data: dict) -> InvariantRecord:
 class InvariantCache:
     """Append-only JSON-lines store of invariant records.
 
-    Records are keyed by (braid, quandle id, cocycle id, assumed crossing
-    number).  The last is None for a record whose crossing number was
-    derived from the diagram, or assumed and equal to the derived one:
-    such a record is the one a plain computation gives, and its line is
-    written exactly as before the assumption was part of the key.  Any
-    other assumption is written as an extra "assumed_crossing_number"
-    field of the line, outside the record's own JSON.  Lines that are not
-    a valid record, such as one cut off by an interrupted write, are
-    skipped and counted in ``skipped``.
+    Records are keyed by (braid, quandle id, cocycle id), the inputs of
+    the state sum, and carry the crossing number derived from the
+    diagram.  Lines that are not a valid record, such as one cut off by
+    an interrupted write, are skipped and counted in ``skipped``; so are
+    lines with an "assumed_crossing_number" field, which older versions
+    wrote for a record whose crossing number was assumed, not derived.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self.skipped = 0
-        self._records: dict[tuple[str, str, str, int | None], InvariantRecord] = {}
+        self._records: dict[tuple[str, str, str], InvariantRecord] = {}
         self._torn_tail = False
         if self.path.exists():
             # undecodable bytes become U+FFFD, so reading a line never raises
@@ -162,44 +153,30 @@ class InvariantCache:
                         continue
                     try:
                         data = json.loads(line)
+                        if "assumed_crossing_number" in data:
+                            raise ValueError("record under an assumed crossing number")
                         rec = record_from_json(data)
-                        key = (rec.braid, rec.quandle_id, rec.cocycle_id, data.get("assumed_crossing_number"))
                     except (ValueError, KeyError, TypeError, AttributeError):
                         self.skipped += 1
                         continue
-                    self._records[key] = rec
+                    self._records[rec.braid, rec.quandle_id, rec.cocycle_id] = rec
                 self._torn_tail = bool(raw) and not raw.endswith("\n")
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def lookup(
-        self, braid: str, quandle_id: str, cocycle_id: str, assumed_crossing_number: int | None = None
-    ) -> InvariantRecord | None:
-        """The record for these inputs, or None.
+    def lookup(self, braid: str, quandle_id: str, cocycle_id: str) -> InvariantRecord | None:
+        return self._records.get((braid, quandle_id, cocycle_id))
 
-        A record filed without an assumption also answers an assumption
-        equal to its crossing number: both give the same record.
-        """
-        record = self._records.get((braid, quandle_id, cocycle_id, None))
-        if assumed_crossing_number is None:
-            return record
-        if record is not None and record.crossing_number == assumed_crossing_number:
-            return record
-        return self._records.get((braid, quandle_id, cocycle_id, assumed_crossing_number))
-
-    def store(self, record: InvariantRecord, assumed_crossing_number: int | None = None) -> None:
-        key = (record.braid, record.quandle_id, record.cocycle_id, assumed_crossing_number)
+    def store(self, record: InvariantRecord) -> None:
+        key = (record.braid, record.quandle_id, record.cocycle_id)
         if key in self._records:
             return
         self._records[key] = record
-        data = record.to_json()
-        if assumed_crossing_number is not None:
-            data["assumed_crossing_number"] = assumed_crossing_number
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
             # a line cut off without its newline must not swallow the next record
-            fh.write(("\n" if self._torn_tail else "") + json.dumps(data, sort_keys=True) + "\n")
+            fh.write(("\n" if self._torn_tail else "") + json.dumps(record.to_json(), sort_keys=True) + "\n")
         self._torn_tail = False
 
 
@@ -214,39 +191,37 @@ def compute_invariant(
 ) -> InvariantRecord:
     """Full record for one braid: Z, coloring count, crossing number, f.
 
-    The crossing number is taken from ``assume_crossing_number`` when
-    given, otherwise derived from the diagram when its closure is
+    The crossing number is derived from the diagram when its closure is
     verified reduced and alternating, otherwise left unset (and f with
-    it).  A cache hit skips all computation.  On a cache miss under an
-    assumption equal to the crossing count, the diagram is checked once
-    more, to file a record the diagram bears out with the plain ones.
+    it).  The cache holds that record, which depends on the inputs
+    alone; a cache hit skips all computation.  An
+    ``assume_crossing_number`` (at least 1) then replaces the crossing
+    number of the returned record, and f with it.
     """
+    if assume_crossing_number is not None and assume_crossing_number < 1:
+        raise ValueError(f"assumed crossing number must be >= 1, got {assume_crossing_number}")
     braid = word.canonical()
     quandle_id = quandle.content_hash()
     cocycle_id = cocycle.content_hash()
-    if cache is not None:
-        hit = cache.lookup(braid, quandle_id, cocycle_id, assume_crossing_number)
-        if hit is not None:
-            return hit
-
-    z = cjkls_state_sum(word, quandle, cocycle, budget=budget)
-    crossing_number = assume_crossing_number
-    if crossing_number is None:
+    record = cache.lookup(braid, quandle_id, cocycle_id) if cache is not None else None
+    if record is None:
+        z = cjkls_state_sum(word, quandle, cocycle, budget=budget)
         crossing_number = _derived_crossing_number(word)
-    f = free_energy_per_crossing(z, crossing_number) if crossing_number else None
-    record = InvariantRecord(
-        braid=braid,
-        quandle_id=quandle_id,
-        cocycle_id=cocycle_id,
-        z=z,
-        coloring_count=z.coefficient_sum(),
-        crossing_number=crossing_number,
-        f=f,
+        record = InvariantRecord(
+            braid=braid,
+            quandle_id=quandle_id,
+            cocycle_id=cocycle_id,
+            z=z,
+            coloring_count=z.coefficient_sum(),
+            crossing_number=crossing_number,
+            f=free_energy_per_crossing(z, crossing_number) if crossing_number else None,
+        )
+        if cache is not None:
+            cache.store(record)
+    if assume_crossing_number is None or assume_crossing_number == record.crossing_number:
+        return record
+    return replace(
+        record,
+        crossing_number=assume_crossing_number,
+        f=free_energy_per_crossing(record.z, assume_crossing_number),
     )
-    if cache is not None:
-        assumed = assume_crossing_number
-        # a derived crossing number is always the crossing count, so only then can they agree
-        if assumed == len(word.letters) and assumed == _derived_crossing_number(word):
-            assumed = None
-        cache.store(record, assumed)
-    return record

@@ -25,7 +25,7 @@ from qcjkls.braid import (
     _scan_tuples,
 )
 from qcjkls.cocycle import build_s4_cocycle
-from qcjkls.quandle import S4_SPEC, AlexanderQuandleSpec, build_alexander_quandle, build_s4
+from qcjkls.quandle import S4_SPEC, AlexanderQuandleSpec, build_alexander_quandle, build_s4, make_quandle
 from qcjkls.sequences import FamilyId, family_braid
 
 TREFOIL = parse_braid("B2: s1^3")
@@ -212,6 +212,11 @@ def test_enumeration_budget():
         enumerate_colorings(BraidWord(13, ()), build_s4(), budget=DEFAULT_BUDGET)
     with pytest.raises(BudgetExceededError):
         enumerate_colorings(TREFOIL, build_s4(), budget=15)
+    assert len(enumerate_colorings(TREFOIL, build_s4(), budget=16)) == 16
+    # the count is compared exactly without building 3^1000000; a 1-element quandle never exceeds
+    with pytest.raises(BudgetExceededError, match=r"^3\^1000000 candidate tuples exceed the budget 16777216$"):
+        enumerate_colorings(BraidWord(10**6, ()), dihedral(3))
+    assert enumerate_colorings(BraidWord(100, (1, -1)), make_quandle(((0,),)), budget=1) == [(0,) * 100]
 
 
 def test_affine_matches_brute_on_fixed_words():

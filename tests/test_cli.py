@@ -100,6 +100,31 @@ def test_budget_error_exits_1(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("command", ["invariant", "colorings"])
+def test_budget_message_for_thousands_of_strands(capsys, command):
+    # 4^8000 has more digits than Python converts to a string
+    code, out, err = run(capsys, [command, "B8000: s1"])
+    assert (code, out) == (1, "")
+    assert f"4^8000 candidate tuples exceed the budget {4**12}" in err
+
+
+def test_invariant_empty_word_has_no_free_energy(capsys):
+    code, out, err = run(capsys, ["invariant", "B2:"])
+    assert code == 0
+    assert "crossing_number: 0\nf: unavailable\n" in out
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+@pytest.mark.parametrize("assumed", ["0", "-2"])
+def test_assumed_crossing_number_must_be_positive(capsys, fmt, assumed):
+    with pytest.raises(SystemExit) as exc:
+        main(["invariant", "s1^3", "--assume-crossing-number", assumed, "--format", fmt])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--assume-crossing-number: must be at least 1, got {assumed}" in captured.err
+
+
 def test_colorings_pretty(capsys):
     code, out, err = run(capsys, ["colorings", "B2: s1^3"])
     assert code == 0

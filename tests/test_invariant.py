@@ -7,7 +7,7 @@ import random
 import pytest
 from _helpers import column_permutations, dihedral, random_word
 
-from qcjkls import braid
+from qcjkls import braid, invariant
 from qcjkls.braid import BraidWord, _scan_tuples, enumerate_colorings_affine, parse_braid, propagate
 from qcjkls.cocycle import Cocycle, CocycleError, build_s4_cocycle, build_trivial_cocycle
 from qcjkls.group_algebra import AbelianGroup, GroupAlgebraElement, build_cyclic_group
@@ -281,25 +281,22 @@ def test_state_sum_falls_back_above_16(monkeypatch):
 # ---------------------------------------------------------- cache robustness
 
 
-def test_cache_key_includes_assumed_crossing_number(tmp_path):
+def test_assumed_run_stores_the_plain_record(tmp_path):
     path = tmp_path / "c.jsonl"
     q, c = build_s4(), build_s4_cocycle()
     assumed = compute_invariant(TREFOIL, q, c, assume_crossing_number=7, cache=InvariantCache(path))
     assert assumed.crossing_number == 7
-    plain = compute_invariant(TREFOIL, q, c, cache=InvariantCache(path))
-    assert plain.crossing_number == 3
-    assert plain.f == F_TREFOIL
-    reopened = InvariantCache(path)
-    assert len(reopened) == 2
-    assert reopened.lookup(plain.braid, plain.quandle_id, plain.cocycle_id) == plain
-    assert reopened.lookup(plain.braid, plain.quandle_id, plain.cocycle_id, 7) == assumed
-    # the assumption is a field of the cache line only, not of the record
-    assert "assumed_crossing_number" not in assumed.to_json()
-    assert [json.loads(line).get("assumed_crossing_number") for line in path.read_text().splitlines()] == [7, None]
+    assert assumed.f == free_energy_per_crossing(assumed.z, 7)
+    cache = InvariantCache(path)
+    plain = cache.lookup(assumed.braid, assumed.quandle_id, assumed.cocycle_id)
+    assert (plain.crossing_number, plain.f) == (3, F_TREFOIL)
+    assert path.read_text() == json.dumps(plain.to_json(), sort_keys=True) + "\n"
+    assert compute_invariant(TREFOIL, q, c, cache=cache) == plain
+    assert compute_invariant(TREFOIL, q, c, assume_crossing_number=7, cache=cache) == assumed
+    assert len(path.read_text().splitlines()) == 1
 
 
 def test_cache_assumption_that_agrees_shares_the_plain_record(tmp_path):
-    # such a line is written as one without an assumption, so cache files stay as they were
     path = tmp_path / "c.jsonl"
     q, c = build_s4(), build_s4_cocycle()
     agreeing = compute_invariant(TREFOIL, q, c, assume_crossing_number=3, cache=InvariantCache(path))
@@ -308,7 +305,61 @@ def test_cache_assumption_that_agrees_shares_the_plain_record(tmp_path):
     assert compute_invariant(TREFOIL, q, c, cache=cache) == agreeing
     assert compute_invariant(TREFOIL, q, c, assume_crossing_number=3, cache=cache) == agreeing
     assert compute_invariant(TREFOIL, q, c, assume_crossing_number=5, cache=cache).crossing_number == 5
-    assert len(path.read_text().splitlines()) == 2
+    # a differing assumption is applied on read and adds no line
+    assert len(path.read_text().splitlines()) == 1
+
+
+def test_legacy_assumed_line_is_skipped(tmp_path):
+    # older versions filed a record under an assumed crossing number with this extra field
+    path = tmp_path / "c.jsonl"
+    q, c = build_s4(), build_s4_cocycle()
+    legacy = compute_invariant(TREFOIL, q, c, assume_crossing_number=7)
+    path.write_text(json.dumps({**legacy.to_json(), "assumed_crossing_number": 7}, sort_keys=True) + "\n")
+    cache = InvariantCache(path)
+    assert (len(cache), cache.skipped) == (0, 1)
+    assert cache.lookup(legacy.braid, legacy.quandle_id, legacy.cocycle_id) is None
+    plain = compute_invariant(TREFOIL, q, c, cache=cache)
+    assert (plain.crossing_number, plain.f) == (3, F_TREFOIL)
+    again = InvariantCache(path)
+    assert (len(again), again.skipped) == (1, 1)
+    assert again.lookup(plain.braid, plain.quandle_id, plain.cocycle_id) == plain
+
+
+def test_cached_and_uncached_records_agree_under_any_assumption(tmp_path):
+    q, c = build_s4(), build_s4_cocycle()
+    rng = random.Random(41)
+    for k in range(60):
+        word = random_word(rng, rng.randint(2, 4), rng.randint(1, 5))
+        plain = compute_invariant(word, q, c)
+        shared = tmp_path / f"{k}.jsonl"
+        for assumed in (None, plain.crossing_number, (plain.crossing_number or len(word.letters)) + 1):
+            uncached = compute_invariant(word, q, c, assume_crossing_number=assumed)
+            own = tmp_path / f"{k}-{assumed}.jsonl"
+            cold = compute_invariant(word, q, c, assume_crossing_number=assumed, cache=InvariantCache(own))
+            warm = compute_invariant(word, q, c, assume_crossing_number=assumed, cache=InvariantCache(own))
+            # the shared file was written under the first assumption only
+            shared_hit = compute_invariant(word, q, c, assume_crossing_number=assumed, cache=InvariantCache(shared))
+            assert cold == warm == shared_hit == uncached, (word, assumed)
+            assert uncached.crossing_number == (plain.crossing_number if assumed is None else assumed)
+            assert own.read_text() == shared.read_text() == json.dumps(plain.to_json(), sort_keys=True) + "\n"
+
+
+def test_compute_invariant_checks_the_diagram_once(tmp_path, monkeypatch):
+    calls = []
+    derive = invariant._derived_crossing_number
+    monkeypatch.setattr(invariant, "_derived_crossing_number", lambda w: calls.append(w) or derive(w))
+    q, c = build_s4(), build_s4_cocycle()
+    cache = InvariantCache(tmp_path / "c.jsonl")
+    assert compute_invariant(TREFOIL, q, c, assume_crossing_number=3, cache=cache).crossing_number == 3
+    assert len(calls) == 1
+    assert compute_invariant(TREFOIL, q, c, assume_crossing_number=5, cache=cache).crossing_number == 5
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("assumed", [0, -3])
+def test_compute_invariant_rejects_assumption_below_1(assumed):
+    with pytest.raises(ValueError, match="assumed crossing number must be >= 1"):
+        compute_invariant(TREFOIL, build_s4(), build_s4_cocycle(), assume_crossing_number=assumed)
 
 
 def test_cache_skips_torn_and_foreign_lines(tmp_path):
