@@ -12,17 +12,13 @@ from .braid import (
     BraidSyntaxError,
     BraidWord,
     BudgetExceededError,
-    ColoringTrace,
     DEFAULT_BUDGET,
     enumerate_colorings,
     enumerate_colorings_affine,
     is_alternating_closure,
     is_reduced_closure,
-    markov_conjugate,
-    markov_stabilize,
     mirror,
     parse_braid,
-    propagate,
 )
 from .cocycle import (
     Cocycle,

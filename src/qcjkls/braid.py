@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import groupby, product
 from math import gcd
 
-from .cocycle import Cocycle, CocycleError
+from .cocycle import Cocycle
 from .quandle import AlexanderQuandleSpec, MAX_QUANDLE_SIZE, QuandleTable
 
 # Cap on the number of candidate top tuples (quandle_size ** strands) a
@@ -141,21 +141,7 @@ def mirror(word: BraidWord) -> BraidWord:
     return BraidWord(word.strands, tuple(-l for l in word.letters))
 
 
-def markov_conjugate(word: BraidWord, letter: int) -> BraidWord:
-    """Markov conjugation w -> g^-1 w g by a single generator letter."""
-    if letter == 0 or abs(letter) >= word.strands:
-        raise ValueError(f"letter {letter} is not a generator on {word.strands} strands")
-    return BraidWord(word.strands, (-letter,) + word.letters + (letter,))
-
-
-def markov_stabilize(word: BraidWord, sign: int = 1) -> BraidWord:
-    """Markov stabilization w -> w * s_n^(+-1) on one extra strand."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return BraidWord(word.strands + 1, word.letters + (sign * word.strands,))
-
-
-def _run_word(letters, op, inv_op, v, phi=None, gmul=None, ginv=None, identity=0, trace=None):
+def _run_word(letters, op, inv_op, v, phi=None, gmul=None, ginv=None, identity=0):
     """Push colors in v (mutated in place) through the word; returns the weight index."""
     weight = identity
     for letter in letters:
@@ -167,8 +153,6 @@ def _run_word(letters, op, inv_op, v, phi=None, gmul=None, ginv=None, identity=0
             v[b] = op[x][y]
             if phi is not None:
                 weight = gmul[weight][phi[x][y]]
-            if trace is not None:
-                trace.append((x, y, 1))
         else:
             b = -letter
             a = b - 1
@@ -178,40 +162,7 @@ def _run_word(letters, op, inv_op, v, phi=None, gmul=None, ginv=None, identity=0
             v[b] = x
             if phi is not None:
                 weight = gmul[weight][ginv[phi[z][x]]]
-            if trace is not None:
-                trace.append((z, x, -1))
     return weight
-
-
-@dataclass(frozen=True)
-class ColoringTrace:
-    """Propagation transcript: colors in, colors out, total crossing weight.
-
-    per_crossing lists (under color a, over color b, sign) per letter,
-    where a is the under-arc color satisfying a*b == other under color;
-    the letter contributes phi(a, b)^sign to the weight.
-    """
-
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
-    weight: int
-    per_crossing: tuple[tuple[int, int, int], ...]
-
-
-def propagate(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle, top) -> ColoringTrace:
-    """Push a top coloring through the word, collecting cocycle weights."""
-    if cocycle.quandle.op != quandle.op:
-        raise CocycleError("cocycle is defined over a different quandle")
-    top = tuple(int(x) for x in top)
-    if len(top) != word.strands:
-        raise ValueError(f"top coloring has {len(top)} entries for {word.strands} strands")
-    if any(not 0 <= x < quandle.size for x in top):
-        raise ValueError("top coloring contains indices outside the quandle")
-
-    v = list(top)
-    trace: list[tuple[int, int, int]] = []
-    weight = _run_word(word.letters, quandle.op, quandle.inv_op, v, trace=trace, **_weight_args(cocycle))
-    return ColoringTrace(top=top, bottom=tuple(v), weight=weight, per_crossing=tuple(trace))
 
 
 def _weight_args(cocycle: Cocycle | None) -> dict:

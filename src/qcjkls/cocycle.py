@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from .group_algebra import AbelianGroup, build_cyclic_group
@@ -113,8 +114,9 @@ def build_trivial_cocycle(quandle: QuandleTable, group: AbelianGroup) -> Cocycle
     return Cocycle(quandle=quandle, group=group, table=(row,) * quandle.size)
 
 
+@cache
 def build_s4_cocycle() -> Cocycle:
-    """The standard non-trivial 2-cocycle on the default 4-element quandle.
+    """The standard non-trivial 2-cocycle on the default 4-element quandle; built once.
 
     Coefficients are Z_2 = {1, t}.  The value is the identity when the
     two colors agree or when either color is T, and t otherwise.

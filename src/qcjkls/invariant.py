@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from .braid import BraidWord, DEFAULT_BUDGET, _scan, is_alternating_closure, is_reduced_closure
@@ -97,10 +98,12 @@ class InvariantRecord:
     f: tuple[float, ...] | None
 
     def __post_init__(self):
-        if self.f is not None and self.crossing_number is None:
+        if self.f is not None and not self.crossing_number:
             raise ValueError("per-crossing free energy without a crossing number")
         if self.coloring_count != self.z.coefficient_sum():
             raise ValueError("coloring count does not match the state-sum coefficients")
+        if self.crossing_number and self.f != free_energy_per_crossing(self.z, self.crossing_number):
+            raise ValueError("per-crossing free energy does not match Z and the crossing number")
 
     def to_json(self) -> dict:
         return {
@@ -127,57 +130,103 @@ def record_from_json(data: dict) -> InvariantRecord:
     )
 
 
+def _record_from_line(text: str) -> InvariantRecord | None:
+    """The record on one stripped cache line, or None if it holds no valid one."""
+    try:
+        data = json.loads(text)
+        if "assumed_crossing_number" in data:
+            raise ValueError("record under an assumed crossing number")
+        return record_from_json(data)
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None
+
+
+def _key(record: InvariantRecord) -> tuple[str, str, str]:
+    return record.braid, record.quandle_id, record.cocycle_id
+
+
 class InvariantCache:
     """Append-only JSON-lines store of invariant records.
 
     Records are keyed by (braid, quandle id, cocycle id), the inputs of
     the state sum, and carry the crossing number derived from the
-    diagram.  Lines that are not a valid record, such as one cut off by
-    an interrupted write, are skipped and counted in ``skipped``; so are
-    lines with an "assumed_crossing_number" field, which older versions
-    wrote for a record whose crossing number was assumed, not derived.
+    diagram.  Opening the cache reads the file and parses nothing.
+    ``lookup`` parses only the lines that contain the braid's JSON
+    text, newest first, and returns the newest valid record under the
+    key, so a line appended later supersedes an earlier one.  Lines
+    that hold no valid record (see InvariantRecord: ``f`` must match
+    ``Z`` and the crossing number), such as one cut off by an
+    interrupted write, are never returned and are counted in
+    ``skipped``; so are lines with an "assumed_crossing_number" field,
+    which older versions wrote for a record whose crossing number was
+    assumed, not derived.  ``len`` and ``skipped`` parse the whole file
+    once, when first asked.  compute_invariant also checks a hit
+    against the word and the cocycle before using it.
     """
 
     def __init__(self, path):
         self.path = Path(path)
-        self.skipped = 0
-        self._records: dict[tuple[str, str, str], InvariantRecord] = {}
-        self._torn_tail = False
-        if self.path.exists():
+        try:
+            self._data = self.path.read_bytes()
+        except FileNotFoundError:
+            self._data = b""
+        self._torn_tail = bool(self._data) and not self._data.endswith(b"\n")
+        self._written: dict[tuple[str, str, str], InvariantRecord] = {}
+
+    @cached_property
+    def _census(self) -> tuple[frozenset[tuple[str, str, str]], int]:
+        """Keys of the valid lines read at open, and the number of invalid ones."""
+        keys, skipped = set(), 0
+        for line in self._data.split(b"\n"):
             # undecodable bytes become U+FFFD, so reading a line never raises
-            with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
-                raw = ""
-                for raw in fh:
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    try:
-                        data = json.loads(line)
-                        if "assumed_crossing_number" in data:
-                            raise ValueError("record under an assumed crossing number")
-                        rec = record_from_json(data)
-                    except (ValueError, KeyError, TypeError, AttributeError):
-                        self.skipped += 1
-                        continue
-                    self._records[rec.braid, rec.quandle_id, rec.cocycle_id] = rec
-                self._torn_tail = bool(raw) and not raw.endswith("\n")
+            text = line.decode("utf-8", "replace").strip()
+            if not text:
+                continue
+            record = _record_from_line(text)
+            if record is None:
+                skipped += 1
+            else:
+                keys.add(_key(record))
+        return frozenset(keys), skipped
+
+    @property
+    def skipped(self) -> int:
+        return self._census[1]
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._census[0] | self._written.keys())
 
     def lookup(self, braid: str, quandle_id: str, cocycle_id: str) -> InvariantRecord | None:
-        return self._records.get((braid, quandle_id, cocycle_id))
+        key = (braid, quandle_id, cocycle_id)
+        if key in self._written:
+            return self._written[key]
+        data, needle = self._data, json.dumps(braid).encode()
+        end = len(data)
+        while (hit := data.rfind(needle, 0, end)) >= 0:
+            end = data.rfind(b"\n", 0, hit) + 1  # the hit's line starts here; older lines lie before
+            stop = data.find(b"\n", hit)
+            line = data[end:] if stop < 0 else data[end:stop]
+            record = _record_from_line(line.decode("utf-8", "replace").strip())
+            if record is not None and _key(record) == key:
+                return record
+        return None
 
     def store(self, record: InvariantRecord) -> None:
-        key = (record.braid, record.quandle_id, record.cocycle_id)
-        if key in self._records:
+        """Append the record, unless this cache has already written its key."""
+        key = _key(record)
+        if key in self._written:
             return
-        self._records[key] = record
+        self._written[key] = record
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
             # a line cut off without its newline must not swallow the next record
             fh.write(("\n" if self._torn_tail else "") + json.dumps(record.to_json(), sort_keys=True) + "\n")
         self._torn_tail = False
+
+
+def _fits(record: InvariantRecord, word: BraidWord, cocycle: Cocycle) -> bool:
+    """Whether a cached record can be the state sum of ``word`` under ``cocycle``."""
+    return record.z.group.labels == cocycle.group.labels and record.crossing_number in (None, len(word.letters))
 
 
 def compute_invariant(
@@ -194,7 +243,10 @@ def compute_invariant(
     The crossing number is derived from the diagram when its closure is
     verified reduced and alternating, otherwise left unset (and f with
     it).  The cache holds that record, which depends on the inputs
-    alone; a cache hit skips all computation.  An
+    alone; a cache hit skips all computation.  A cached record is used
+    only if its group labels are the cocycle's and its crossing number
+    is unset or the word's letter count; otherwise it is recomputed and
+    the new record appended, which supersedes it.  An
     ``assume_crossing_number`` (at least 1) then replaces the crossing
     number of the returned record, and f with it.
     """
@@ -204,6 +256,8 @@ def compute_invariant(
     quandle_id = quandle.content_hash()
     cocycle_id = cocycle.content_hash()
     record = cache.lookup(braid, quandle_id, cocycle_id) if cache is not None else None
+    if record is not None and not _fits(record, word, cocycle):
+        record = None
     if record is None:
         z = cjkls_state_sum(word, quandle, cocycle, budget=budget)
         crossing_number = _derived_crossing_number(word)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from pathlib import Path
 
@@ -332,8 +333,9 @@ def build_alexander_quandle(spec: AlexanderQuandleSpec, max_size: int = MAX_QUAN
     return QuandleTable(size=size, op=op, inv_op=inv_op, labels=labels)
 
 
+@cache
 def build_s4() -> QuandleTable:
-    """The default 4-element Alexander quandle (labels 0, 1, T, T+1)."""
+    """The default 4-element Alexander quandle (labels 0, 1, T, T+1); built once."""
     return build_alexander_quandle(S4_SPEC)
 
 

@@ -1,8 +1,11 @@
-"""Random words, small quandle tables and the slow reference checks shared
-by the tests."""
+"""Random words, small quandle tables, Markov moves, single-coloring
+propagation and the slow reference checks shared by the tests."""
+
+from dataclasses import dataclass
 
 from qcjkls.braid import BraidWord
-from qcjkls.quandle import make_quandle
+from qcjkls.cocycle import Cocycle, CocycleError
+from qcjkls.quandle import QuandleTable, make_quandle
 
 
 def random_word(rng, strands, runs, longest=3):
@@ -22,6 +25,66 @@ def column_permutations(rng, n):
     """A right-invertible table that is no quandle: each column a random permutation."""
     columns = [rng.sample(range(n), n) for _ in range(n)]
     return make_quandle(tuple(tuple(columns[b][a] for b in range(n)) for a in range(n)))
+
+
+def markov_conjugate(word: BraidWord, letter: int) -> BraidWord:
+    """Markov conjugation w -> g^-1 w g by a single generator letter."""
+    if letter == 0 or abs(letter) >= word.strands:
+        raise ValueError(f"letter {letter} is not a generator on {word.strands} strands")
+    return BraidWord(word.strands, (-letter,) + word.letters + (letter,))
+
+
+def markov_stabilize(word: BraidWord, sign: int = 1) -> BraidWord:
+    """Markov stabilization w -> w * s_n^(+-1) on one extra strand."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    return BraidWord(word.strands + 1, word.letters + (sign * word.strands,))
+
+
+@dataclass(frozen=True)
+class ColoringTrace:
+    """Propagation transcript: colors in, colors out, total crossing weight.
+
+    per_crossing lists (under color a, over color b, sign) per letter,
+    where a is the under-arc color satisfying a*b == other under color;
+    the letter contributes phi(a, b)^sign to the weight.
+    """
+
+    top: tuple[int, ...]
+    bottom: tuple[int, ...]
+    weight: int
+    per_crossing: tuple[tuple[int, int, int], ...]
+
+
+def propagate(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle, top) -> ColoringTrace:
+    """Push a top coloring through the word one crossing at a time, by the
+    crossing rule of the braid module's docstring, collecting cocycle weights."""
+    if cocycle.quandle.op != quandle.op:
+        raise CocycleError("cocycle is defined over a different quandle")
+    top = tuple(int(x) for x in top)
+    if len(top) != word.strands:
+        raise ValueError(f"top coloring has {len(top)} entries for {word.strands} strands")
+    if any(not 0 <= x < quandle.size for x in top):
+        raise ValueError("top coloring contains indices outside the quandle")
+
+    group = cocycle.group
+    v = list(top)
+    weight = group.identity
+    trace = []
+    for letter in word.letters:
+        i = abs(letter)
+        x, y = v[i - 1], v[i]
+        if letter > 0:
+            v[i - 1], v[i] = y, quandle.op[x][y]
+            a, b = x, y
+            factor = cocycle.table[a][b]
+        else:
+            a, b = quandle.inv_op[y][x], x
+            v[i - 1], v[i] = a, b
+            factor = group.inverse_table[cocycle.table[a][b]]
+        weight = group.mul[weight][factor]
+        trace.append((a, b, 1 if letter > 0 else -1))
+    return ColoringTrace(top=top, bottom=tuple(v), weight=weight, per_crossing=tuple(trace))
 
 
 def _closure_arc_edges(word: BraidWord):

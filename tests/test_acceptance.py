@@ -13,12 +13,12 @@ import math
 import random
 import time
 
+from _helpers import markov_conjugate, markov_stabilize
+
 from qcjkls.braid import (
     BraidWord,
     enumerate_colorings,
     enumerate_colorings_affine,
-    markov_conjugate,
-    markov_stabilize,
     parse_braid,
 )
 from qcjkls.cocycle import Cocycle, build_s4_cocycle, build_trivial_cocycle, verify_cocycle

@@ -5,7 +5,15 @@ import random
 from itertools import groupby, product
 
 import pytest
-from _helpers import column_permutations, dihedral, random_word, reference_reduced
+from _helpers import (
+    column_permutations,
+    dihedral,
+    markov_conjugate,
+    markov_stabilize,
+    propagate,
+    random_word,
+    reference_reduced,
+)
 
 from qcjkls import braid
 from qcjkls.braid import (
@@ -17,11 +25,8 @@ from qcjkls.braid import (
     enumerate_colorings_affine,
     is_alternating_closure,
     is_reduced_closure,
-    markov_conjugate,
-    markov_stabilize,
     mirror,
     parse_braid,
-    propagate,
     _scan_tuples,
 )
 from qcjkls.cocycle import build_s4_cocycle

@@ -3,12 +3,13 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
-from _helpers import column_permutations, dihedral, random_word
+from _helpers import column_permutations, dihedral, propagate, random_word
 
 from qcjkls import braid, invariant
-from qcjkls.braid import BraidWord, _scan_tuples, enumerate_colorings_affine, parse_braid, propagate
+from qcjkls.braid import BraidWord, _scan_tuples, enumerate_colorings_affine, parse_braid
 from qcjkls.cocycle import Cocycle, CocycleError, build_s4_cocycle, build_trivial_cocycle
 from qcjkls.group_algebra import AbelianGroup, GroupAlgebraElement, build_cyclic_group
 from qcjkls.invariant import (
@@ -96,6 +97,13 @@ def test_record_validation():
         InvariantRecord("B2: s1^3", "q", "c", z, 16, None, (1.0, 2.0))
     with pytest.raises(ValueError, match="coloring count"):
         InvariantRecord("B2: s1^3", "q", "c", z, 15, 3, None)
+    with pytest.raises(ValueError, match="does not match Z"):
+        InvariantRecord("B2: s1^3", "q", "c", z, 16, 3, (9.0, 9.0))
+    with pytest.raises(ValueError, match="does not match Z"):
+        InvariantRecord("B2: s1^3", "q", "c", z, 16, 3, None)
+    with pytest.raises(ValueError, match="without a crossing number"):
+        InvariantRecord("B2:", "q", "c", z, 16, 0, (0.0, 0.0))
+    assert InvariantRecord("B2:", "q", "c", z, 16, 0, None).f is None
 
 
 def test_record_json_round_trip():
@@ -404,3 +412,100 @@ def test_cache_skips_undecodable_bytes(tmp_path):
     again = InvariantCache(path)
     assert (len(again), again.skipped) == (3, 1)
     assert again.lookup(recs[2].braid, recs[2].quandle_id, recs[2].cocycle_id) == recs[2]
+
+
+# ------------------------------------------------------- checked, lazy lookup
+
+
+def _trefoil_line(**fields) -> str:
+    """The trefoil's cache line under the default cocycle, with some fields replaced."""
+    plain = compute_invariant(TREFOIL, build_s4(), build_s4_cocycle())
+    return json.dumps({**plain.to_json(), **fields}, sort_keys=True) + "\n"
+
+
+def _superseded(path, line):
+    """Serve ``line`` from a cache file and check that compute_invariant
+    recomputes the record and appends a line that the next open returns."""
+    q, c = build_s4(), build_s4_cocycle()
+    path.write_text(line)
+    uncached = compute_invariant(TREFOIL, q, c)
+    assert compute_invariant(TREFOIL, q, c, cache=InvariantCache(path)) == uncached
+    assert path.read_text() == line + json.dumps(uncached.to_json(), sort_keys=True) + "\n"
+    again = InvariantCache(path)
+    assert again.lookup(uncached.braid, uncached.quandle_id, uncached.cocycle_id) == uncached
+    assert compute_invariant(TREFOIL, q, c, cache=again) == uncached
+    assert len(path.read_text().splitlines()) == 2
+    return again
+
+
+def test_cached_record_over_another_group_is_recomputed(tmp_path):
+    z3 = GroupAlgebraElement(build_cyclic_group(3), (4, 6, 6))
+    line = _trefoil_line(Z=z3.to_json(), f=list(free_energy_per_crossing(z3, 3)))
+    again = _superseded(tmp_path / "c.jsonl", line)
+    assert (len(again), again.skipped) == (1, 0)
+
+
+def test_cached_crossing_number_must_be_the_letter_count(tmp_path):
+    z = GroupAlgebraElement(build_cyclic_group(2), (4, 12))
+    line = _trefoil_line(crossing_number=7, f=list(free_energy_per_crossing(z, 7)))
+    again = _superseded(tmp_path / "c.jsonl", line)
+    assert (len(again), again.skipped) == (1, 0)
+
+
+def test_cached_f_must_match_z_and_the_crossing_number(tmp_path):
+    line = _trefoil_line(f=[9.0, 9.0])
+    again = _superseded(tmp_path / "c.jsonl", line)
+    assert (len(again), again.skipped) == (1, 1)
+
+
+def test_lookup_returns_the_newest_valid_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    q, c = build_s4(), build_s4_cocycle()
+    plain = compute_invariant(TREFOIL, q, c)
+    unset = replace(plain, crossing_number=None, f=None)
+    older, newer = (json.dumps(r.to_json(), sort_keys=True) + "\n" for r in (unset, plain))
+    path.write_text(older + newer + _trefoil_line(f=[9.0, 9.0]) + newer[:40])
+    cache = InvariantCache(path)
+    assert cache.lookup(plain.braid, plain.quandle_id, plain.cocycle_id) == plain
+    path.write_text(newer + older)
+    cache = InvariantCache(path)
+    assert cache.lookup(plain.braid, plain.quandle_id, plain.cocycle_id) == unset
+    assert compute_invariant(TREFOIL, q, c, cache=cache) == unset
+
+
+def test_lookup_parses_only_lines_that_hold_the_braid(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    q, c = build_s4(), build_s4_cocycle()
+    plain = compute_invariant(TREFOIL, q, c)
+    base = plain.to_json()
+    lines = [json.dumps({**base, "braid": f"B3: s1^{k} s2"}, sort_keys=True) for k in range(1000)]
+    target = json.dumps(base, sort_keys=True)
+    garbage = [
+        "not json",
+        "[1, 2]",
+        'junk "B2: s1^3"',  # holds the braid text but is no record
+        json.dumps({**base, "assumed_crossing_number": 3}, sort_keys=True),
+        target[: len(target) // 2],
+    ]
+    foreign = json.dumps({**base, "cocycle_id": "other"}, sort_keys=True)
+    body = lines[:500] + garbage + [target, foreign] + lines[500:]
+    path.write_bytes("\n".join(body).encode() + b"\n\xff\n" + target[:30].encode())
+    holding = sum(b'"B2: s1^3"' in line for line in path.read_bytes().split(b"\n"))
+    assert holding == 5
+
+    calls = []
+    parse = invariant.record_from_json
+    monkeypatch.setattr(invariant, "record_from_json", lambda data: calls.append(data) or parse(data))
+    cache = InvariantCache(path)
+    assert calls == []
+    assert cache.lookup(plain.braid, plain.quandle_id, plain.cocycle_id) == plain
+    assert len(calls) <= holding
+    calls.clear()
+    assert cache.lookup(plain.braid, plain.quandle_id, "missing") is None
+    assert len(calls) <= holding
+    calls.clear()
+    assert cache.lookup("B2: s1^5", plain.quandle_id, plain.cocycle_id) is None
+    assert calls == []
+    assert cache.lookup("B3: s1^999 s2", plain.quandle_id, plain.cocycle_id).braid == "B3: s1^999 s2"
+    assert len(calls) == 1
+    assert (len(cache), cache.skipped) == (1002, len(garbage) + 2)
