@@ -59,24 +59,25 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 2:
             raise ValueError(f"a braid needs at least 2 strands, got {self.strands}")
-        object.__setattr__(self, "letters", tuple(int(l) for l in self.letters))
-        for l in self.letters:
-            if l == 0 or abs(l) >= self.strands:
-                raise ValueError(f"letter {l} is not a generator of the {self.strands}-strand braid group")
+        letters = tuple(map(int, self.letters))
+        object.__setattr__(self, "letters", letters)
+        bad = {l for l in set(letters) if l == 0 or abs(l) >= self.strands}
+        if bad:
+            first = next(l for l in letters if l in bad)
+            raise ValueError(f"letter {first} is not a generator of the {self.strands}-strand braid group")
 
     def canonical(self) -> str:
         """Serialize as "B<s>: s<i>^<e> ...", merging maximal equal-letter runs."""
-        parts = []
-        for letter, run in groupby(self.letters):
-            count = sum(1 for _ in run)
-            exponent = count if letter > 0 else -count
-            index = abs(letter)
-            parts.append(f"s{index}" if exponent == 1 else f"s{index}^{exponent}")
-        body = " ".join(parts)
-        return f"B{self.strands}: {body}" if body else f"B{self.strands}:"
+        return format_runs(self.strands, ((letter, len(tuple(run))) for letter, run in groupby(self.letters)))
 
     def __str__(self) -> str:
         return self.canonical()
+
+
+def format_runs(strands: int, runs) -> str:
+    """Text "B<s>: s<i>^<e> ..." of (signed letter, count) runs; exponent 1 is left out."""
+    body = " ".join(f"s{l}" if l > 0 and c == 1 else f"s{abs(l)}^{c if l > 0 else -c}" for l, c in runs)
+    return f"B{strands}: {body}".rstrip()
 
 
 _PREFIX = re.compile(r"\s*B0*(\d+):")

@@ -343,8 +343,8 @@ def _cmd_family(args) -> int:
             "points": [
                 {
                     "n": p.n,
-                    "braid": p.braid.canonical(),
-                    "strands": p.braid.strands,
+                    "braid": p.canonical(),
+                    "strands": p.strands,
                     "crossings": p.closed_c,
                     "Z": p.closed_Z.to_json(),
                     "f": list(p.closed_f),
@@ -366,7 +366,7 @@ def _cmd_family(args) -> int:
                 family.kind,
                 family.m if family.m is not None else "",
                 p.n,
-                p.braid.strands,
+                p.strands,
                 p.closed_c,
                 str(p.closed_Z.coeffs[0]),
                 str(p.closed_Z.coeffs[1]),
@@ -382,7 +382,7 @@ def _cmd_family(args) -> int:
         print(f"family {family}: n = {lo}..{hi}")
         for p, check in points:
             line = (
-                f"n={p.n} strands={p.braid.strands} crossings={p.closed_c} "
+                f"n={p.n} strands={p.strands} crossings={p.closed_c} "
                 f"Z={p.closed_Z} f={_floats(p.closed_f)}"
             )
             if check is not None:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .braid import BraidWord, DEFAULT_BUDGET, _scan, is_alternating_closure, is_reduced_closure
 from .cocycle import Cocycle, CocycleError
-from .group_algebra import GroupAlgebraElement, element_from_json
+from .group_algebra import GroupAlgebraElement, element_from_json, group_from_labels
 from .quandle import QuandleTable
 
 
@@ -248,13 +248,16 @@ def compute_invariant(
     is unset or the word's letter count; otherwise it is recomputed and
     the new record appended, which supersedes it.  An
     ``assume_crossing_number`` (at least 1) then replaces the crossing
-    number of the returned record, and f with it.
+    number of the returned record, and f with it.  A cocycle whose group
+    is not the cyclic one on its labels bypasses the cache.
     """
     if assume_crossing_number is not None and assume_crossing_number < 1:
         raise ValueError(f"assumed crossing number must be >= 1, got {assume_crossing_number}")
     braid = word.canonical()
     quandle_id = quandle.content_hash()
     cocycle_id = cocycle.content_hash()
+    if group_from_labels(cocycle.group.labels) != cocycle.group:
+        cache = None  # the key and a read-back Z assume the cyclic group on these labels
     record = cache.lookup(braid, quandle_id, cocycle_id) if cache is not None else None
     if record is not None and not _fits(record, word, cocycle):
         record = None

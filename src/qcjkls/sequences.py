@@ -20,14 +20,21 @@ sigma^3 block and a sigma^(3(2m+1)) block transfer colors identically
 and contribute identical weights), so Km and KPrimeM share Z with Kn
 and KPrime while their crossing numbers grow, which drives the
 per-crossing free energy toward zero at controlled rates.
+
+A word is stored as its twist blocks, one signed generator each, all
+with the family's exponent; adjacent blocks never share a generator.
+FamilyPoint reads the strand count and canonical text off the blocks;
+only family_braid expands them into letters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 
-from .braid import BraidWord
+from .braid import BraidWord, format_runs
 from .group_algebra import GroupAlgebraElement, build_cyclic_group
 
 FAMILY_KINDS = ("Kn", "KPrime", "K0", "Km", "KPrimeM")
@@ -72,49 +79,38 @@ def parse_family_id(text: str) -> FamilyId:
     return FamilyId(text)
 
 
-def _block(index: int, exponent: int) -> list[int]:
-    letter = index if exponent > 0 else -index
-    return [letter] * abs(exponent)
+def _descent(n: int) -> list[int]:
+    """Blocks n..2 in descending order: odd indices positive, even negative."""
+    return [i if i % 2 else -i for i in range(n, 1, -1)]
 
 
-def _tower_blocks(n: int, k: int) -> list[int]:
-    """Blocks of the Kn word with block exponent k: odd indices +, even -."""
-    letters: list[int] = []
-    for i in range(n, 1, -1):
-        letters.extend(_block(i, k if i % 2 == 1 else -k))
-    letters.extend(_block(1, k))
-    for i in range(2, n + 1):
-        letters.extend(_block(i, k if i % 2 == 1 else -k))
-    return letters
-
-
-def _kprime_letters(n: int, k: int) -> list[int]:
+def _kprime_blocks(n: int) -> list[int]:
     if n == 1:
-        return _block(1, k)
+        return [1]
     if n % 2 == 0:
-        cap = _block(n, -k)
-        return cap + _kprime_letters(n - 1, k) + cap
+        return [-n] + _kprime_blocks(n - 1) + [-n]
     # odd n = 2i+1 >= 3: descend n..2 alternating, s1, ascend the odd
     # indices 3..n, then ascend 2..n alternating.
-    letters: list[int] = []
-    for i in range(n, 1, -1):
-        letters.extend(_block(i, k if i % 2 == 1 else -k))
-    letters.extend(_block(1, k))
-    for i in range(3, n + 1, 2):
-        letters.extend(_block(i, k))
-    for i in range(2, n + 1):
-        letters.extend(_block(i, k if i % 2 == 1 else -k))
-    return letters
+    down = _descent(n)
+    return down + [1] + list(range(3, n + 1, 2)) + down[::-1]
 
 
-def _pyramid_letters(n: int, k: int) -> list[int]:
-    """K0 word in B_{2n}: rows 1..n..1; row r uses indices r, r+2, ..., 2n-r."""
+def _blocks(family: FamilyId, n: int) -> list[int]:
+    """One signed generator per twist block of the n-th word (n >= 1)."""
+    if n < 1:
+        raise ValueError(f"family index must be >= 1, got {n}")
+    if family.kind in ("Kn", "Km"):  # descend n..2, s1, then ascend 2..n
+        down = _descent(n)
+        return down + [1] + down[::-1]
+    if family.kind in ("KPrime", "KPrimeM"):
+        return _kprime_blocks(n)
+    # K0 in B_{2n}: rows 1..n..1; row r uses indices r, r+2, ..., 2n-r
     rows = list(range(1, n + 1)) + list(range(n - 1, 0, -1))
-    letters: list[int] = []
-    for r in rows:
-        for i in range(r, 2 * n - r + 1, 2):
-            letters.extend(_block(i, k if i % 2 == n % 2 else -k))
-    return letters
+    return [i if i % 2 == n % 2 else -i for r in rows for i in range(r, 2 * n - r + 1, 2)]
+
+
+def _strands(family: FamilyId, n: int) -> int:
+    return 2 * n if family.kind == "K0" else n + 1
 
 
 def _twist_exponent(family: FamilyId) -> int:
@@ -122,15 +118,9 @@ def _twist_exponent(family: FamilyId) -> int:
 
 
 def family_braid(family: FamilyId, n: int) -> BraidWord:
-    """The n-th braid word of the family (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"family index must be >= 1, got {n}")
-    k = _twist_exponent(family)
-    if family.kind in ("Kn", "Km"):
-        return BraidWord(n + 1, tuple(_tower_blocks(n, k)))
-    if family.kind in ("KPrime", "KPrimeM"):
-        return BraidWord(n + 1, tuple(_kprime_letters(n, k)))
-    return BraidWord(2 * n, tuple(_pyramid_letters(n, k)))
+    """The n-th braid word of the family (n >= 1): each block repeated k times."""
+    blocks, k = _blocks(family, n), _twist_exponent(family)
+    return BraidWord(_strands(family, n), tuple(chain.from_iterable(repeat(b, k) for b in blocks)))
 
 
 def family_crossing_number(family: FamilyId, n: int) -> int:
@@ -157,9 +147,8 @@ def _closed_coeffs(family: FamilyId, n: int) -> tuple[int, int]:
     if family.kind in ("Kn", "Km"):
         return 4**n, 3 * 4**n
     if family.kind in ("KPrime", "KPrimeM"):
-        half = (n + 1) // 2
         power = n // 2 + 1
-        even, odd = binomial_sums(half)
+        even, odd = binomial_sums((n + 1) // 2)
         return 4**power * even, 4**power * odd
     return 4 ** (2 * n - 1), 3 * 4 ** (2 * n - 1)
 
@@ -178,15 +167,12 @@ def family_closed_f(family: FamilyId, n: int) -> tuple[float, float]:
     rather than by delegating to the generic state-sum path, so tests
     can compare the two routes.
     """
-    if n < 1:
-        raise ValueError(f"family index must be >= 1, got {n}")
-    c = family_crossing_number(family, n)
+    c = family_crossing_number(family, n)  # raises for n < 1
     if family.kind in ("Kn", "Km", "K0"):
         power = n if family.kind in ("Kn", "Km") else 2 * n - 1
         return (2 * power * _LN2 / c, (2 * power * _LN2 + _LN3) / c)
-    half = (n + 1) // 2
     power = n // 2 + 1
-    even, odd = binomial_sums(half)
+    even, odd = binomial_sums((n + 1) // 2)
     return (
         (2 * power * _LN2 + math.log(even)) / c,
         (2 * power * _LN2 + math.log(odd)) / c,
@@ -195,21 +181,30 @@ def family_closed_f(family: FamilyId, n: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class FamilyPoint:
-    """One sampled family member with its closed-form data."""
+    """One sampled family member with its closed-form data; letters only on demand."""
 
     family: FamilyId
     n: int
-    braid: BraidWord
+    strands: int
     closed_Z: GroupAlgebraElement
     closed_c: int
     closed_f: tuple[float, float]
+
+    def canonical(self) -> str:
+        """family_braid(...).canonical(), written from the blocks: adjacent blocks never merge."""
+        k = _twist_exponent(self.family)
+        return format_runs(self.strands, ((b, k) for b in _blocks(self.family, self.n)))
+
+    @cached_property
+    def braid(self) -> BraidWord:
+        return family_braid(self.family, self.n)
 
 
 def family_point(family: FamilyId, n: int) -> FamilyPoint:
     return FamilyPoint(
         family=family,
         n=n,
-        braid=family_braid(family, n),
+        strands=_strands(family, n),
         closed_Z=family_closed_Z(family, n),
         closed_c=family_crossing_number(family, n),
         closed_f=family_closed_f(family, n),

@@ -1,5 +1,6 @@
 """Random words, small quandle tables, Markov moves, single-coloring
-propagation and the slow reference checks shared by the tests."""
+propagation, letter-by-letter family words and the slow reference checks
+shared by the tests."""
 
 from dataclasses import dataclass
 
@@ -14,6 +15,61 @@ def random_word(rng, strands, runs, longest=3):
     for _ in range(runs):
         letters += [rng.choice((1, -1)) * rng.randint(1, strands - 1)] * rng.randint(1, longest)
     return BraidWord(strands, tuple(letters))
+
+
+def _block(index, exponent):
+    letter = index if exponent > 0 else -index
+    return [letter] * abs(exponent)
+
+
+def _tower_letters(n, k):
+    """Letters of the Kn word with block exponent k: odd indices +, even -."""
+    letters = []
+    for i in range(n, 1, -1):
+        letters.extend(_block(i, k if i % 2 == 1 else -k))
+    letters.extend(_block(1, k))
+    for i in range(2, n + 1):
+        letters.extend(_block(i, k if i % 2 == 1 else -k))
+    return letters
+
+
+def _kprime_letters(n, k):
+    if n == 1:
+        return _block(1, k)
+    if n % 2 == 0:
+        cap = _block(n, -k)
+        return cap + _kprime_letters(n - 1, k) + cap
+    # odd n = 2i+1 >= 3: descend n..2 alternating, s1, ascend the odd
+    # indices 3..n, then ascend 2..n alternating.
+    letters = []
+    for i in range(n, 1, -1):
+        letters.extend(_block(i, k if i % 2 == 1 else -k))
+    letters.extend(_block(1, k))
+    for i in range(3, n + 1, 2):
+        letters.extend(_block(i, k))
+    for i in range(2, n + 1):
+        letters.extend(_block(i, k if i % 2 == 1 else -k))
+    return letters
+
+
+def _pyramid_letters(n, k):
+    """K0 word in B_{2n}: rows 1..n..1; row r uses indices r, r+2, ..., 2n-r."""
+    rows = list(range(1, n + 1)) + list(range(n - 1, 0, -1))
+    letters = []
+    for r in rows:
+        for i in range(r, 2 * n - r + 1, 2):
+            letters.extend(_block(i, k if i % 2 == n % 2 else -k))
+    return letters
+
+
+def reference_family_braid(family, n):
+    """The n-th family word built letter by letter: the oracle for family_braid."""
+    k = 3 * (2 * family.m + 1) if family.kind in ("Km", "KPrimeM") else 3
+    if family.kind in ("Kn", "Km"):
+        return BraidWord(n + 1, tuple(_tower_letters(n, k)))
+    if family.kind in ("KPrime", "KPrimeM"):
+        return BraidWord(n + 1, tuple(_kprime_letters(n, k)))
+    return BraidWord(2 * n, tuple(_pyramid_letters(n, k)))
 
 
 def dihedral(n):

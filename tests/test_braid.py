@@ -124,6 +124,13 @@ def test_braid_word_validation():
         BraidWord(3, (3,))
 
 
+def test_braid_word_validation_names_the_first_bad_letter():
+    with pytest.raises(ValueError, match=r"letter 5 is not a generator of the 3-strand"):
+        BraidWord(3, (1, 5, -2, 0, 7))
+    with pytest.raises(ValueError, match=r"letter 0 is not"):
+        BraidWord(3, [0, 5, 0])
+
+
 # ------------------------------------------------------- mirror and Markov
 
 

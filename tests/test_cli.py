@@ -3,7 +3,9 @@
 import json
 
 import pytest
+from _helpers import reference_family_braid
 
+from qcjkls import sequences
 from qcjkls.cli import main
 from qcjkls.cocycle import build_s4_cocycle, save_cocycle
 from qcjkls.quandle import build_s4, save_quandle
@@ -264,6 +266,38 @@ def test_family_sweep_verify_csv(capsys):
     assert lines[4].startswith("# limit ")
     report = json.loads(lines[4].removeprefix("# limit "))
     assert report["family"] == "Kn"
+
+
+SWEEP = ["family", "KPrimeM:2", "--n", "1..50"]
+
+
+def test_family_sweep_builds_no_letters(capsys, monkeypatch):
+    before = {fmt: run(capsys, SWEEP + ["--format", fmt]) for fmt in ("pretty", "json", "csv")}
+    family = sequences.FamilyId("KPrimeM", 2)
+    texts = [p["braid"] for p in json.loads(before["json"][1])["points"]]
+    assert texts == [reference_family_braid(family, n).canonical() for n in range(1, 51)]
+
+    def refuse(*args):
+        raise AssertionError("family_braid called without --verify")
+
+    monkeypatch.setattr(sequences, "family_braid", refuse)
+    for fmt, (code, out, err) in before.items():
+        assert code == 0
+        assert run(capsys, SWEEP + ["--format", fmt]) == (0, out, err), fmt
+
+
+def test_family_verify_builds_letters(capsys, monkeypatch):
+    calls = []
+
+    def counting(family, n):
+        calls.append(n)
+        return reference_family_braid(family, n)
+
+    monkeypatch.setattr(sequences, "family_braid", counting)
+    code, out, err = run(capsys, SWEEP + ["--verify", "--budget", "1", "--format", "csv"])
+    assert code == 0
+    assert calls == list(range(1, 51))
+    assert all(line.endswith(",skipped") for line in out.splitlines()[1:51])
 
 
 def test_family_sweep_pretty(capsys):

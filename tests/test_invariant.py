@@ -289,6 +289,21 @@ def test_state_sum_falls_back_above_16(monkeypatch):
 # ---------------------------------------------------------- cache robustness
 
 
+def test_cache_is_bypassed_for_a_non_cyclic_group(tmp_path):
+    # Z_2 with its identity at index 1 under the cyclic labels: the key
+    # matches the cyclic cocycle with the same table, and a cached Z would
+    # come back over the cyclic group
+    flipped = AbelianGroup(order=2, mul=((1, 0), (0, 1)), identity=1, labels=("1", "t"))
+    q, standard = build_s4(), build_s4_cocycle()
+    cocycle = Cocycle(q, flipped, tuple(tuple(1 - v for v in row) for row in standard.table))
+    assert cocycle.content_hash() == Cocycle(q, build_cyclic_group(2), cocycle.table).content_hash()
+    uncached = compute_invariant(TREFOIL, q, cocycle)
+    path = tmp_path / "c.jsonl"
+    for _ in range(2):
+        assert compute_invariant(TREFOIL, q, cocycle, cache=InvariantCache(path)) == uncached
+    assert not path.exists()
+
+
 def test_assumed_run_stores_the_plain_record(tmp_path):
     path = tmp_path / "c.jsonl"
     q, c = build_s4(), build_s4_cocycle()

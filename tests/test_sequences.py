@@ -4,12 +4,14 @@ import math
 
 import pytest
 
+from _helpers import reference_family_braid
 from qcjkls.braid import is_alternating_closure, is_reduced_closure
 from qcjkls.cocycle import build_s4_cocycle
 from qcjkls.invariant import cjkls_state_sum, free_energy_per_crossing
 from qcjkls.quandle import build_s4
 from qcjkls.sequences import (
     FamilyId,
+    _blocks,
     binomial_sums,
     family_braid,
     family_closed_Z,
@@ -43,6 +45,28 @@ WORD_GOLDENS = {
 def test_family_word_goldens():
     for (family, n), text in WORD_GOLDENS.items():
         assert family_braid(family, n).canonical() == text
+
+
+# (family, largest n) checked against the letter-by-letter builders
+ORACLE_CASES = [(KN, 60), (KPRIME, 60), (K0, 30)] + [
+    (FamilyId(kind, m), 60) for kind, ms in (("Km", (1, 2, 3)), ("KPrimeM", (1, 2))) for m in ms
+]
+
+
+def test_family_braid_matches_letter_oracle():
+    for family, max_n in ORACLE_CASES:
+        for n in range(1, max_n + 1):
+            assert family_braid(family, n) == reference_family_braid(family, n), (family, n)
+
+
+def test_family_point_text_comes_from_blocks():
+    for family, max_n in ORACLE_CASES:
+        for n in range(1, max_n + 1):
+            blocks = _blocks(family, n)
+            # no merge across blocks, so the block text is the merged-run text
+            assert all(a != b for a, b in zip(blocks, blocks[1:])), (family, n)
+            word, point = family_braid(family, n), family_point(family, n)
+            assert (point.canonical(), point.strands) == (word.canonical(), word.strands), (family, n)
 
 
 def test_family_strand_counts():
@@ -154,6 +178,8 @@ def test_family_point_bundles_fields():
     p = family_point(KN, 2)
     assert p.n == 2
     assert p.braid.canonical() == "B3: s2^-3 s1^3 s2^-3"
+    assert p.canonical() == "B3: s2^-3 s1^3 s2^-3"
+    assert p.strands == 3
     assert p.closed_c == 9
     assert p.closed_Z.coeffs == (16, 48)
     assert p.closed_f[0] == pytest.approx(math.log(16) / 9, abs=1e-15)
