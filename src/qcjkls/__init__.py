@@ -17,7 +17,6 @@ from .braid import (
     enumerate_colorings_affine,
     is_alternating_closure,
     is_reduced_closure,
-    mirror,
     parse_braid,
 )
 from .cocycle import (
@@ -28,7 +27,6 @@ from .cocycle import (
     build_trivial_cocycle,
     load_cocycle,
     save_cocycle,
-    twist_block_weight,
     verify_cocycle,
 )
 from .group_algebra import (

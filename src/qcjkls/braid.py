@@ -24,7 +24,7 @@ from itertools import groupby, product
 from math import gcd
 
 from .cocycle import Cocycle
-from .quandle import AlexanderQuandleSpec, MAX_QUANDLE_SIZE, QuandleTable
+from .quandle import AlexanderQuandleSpec, QuandleTable, build_alexander_quandle
 
 # Cap on the number of candidate top tuples (quandle_size ** strands) a
 # brute-force enumeration will walk, and on the number of colorings the
@@ -67,17 +67,13 @@ class BraidWord:
             raise ValueError(f"letter {first} is not a generator of the {self.strands}-strand braid group")
 
     def canonical(self) -> str:
-        """Serialize as "B<s>: s<i>^<e> ...", merging maximal equal-letter runs."""
-        return format_runs(self.strands, ((letter, len(tuple(run))) for letter, run in groupby(self.letters)))
+        """Serialize as "B<s>: s<i>^<e> ...", merging maximal equal-letter runs; exponent 1 is left out."""
+        runs = ((l, len(tuple(run))) for l, run in groupby(self.letters))
+        body = " ".join(f"s{l}" if l > 0 and c == 1 else f"s{abs(l)}^{c if l > 0 else -c}" for l, c in runs)
+        return f"B{self.strands}: {body}".rstrip()
 
     def __str__(self) -> str:
         return self.canonical()
-
-
-def format_runs(strands: int, runs) -> str:
-    """Text "B<s>: s<i>^<e> ..." of (signed letter, count) runs; exponent 1 is left out."""
-    body = " ".join(f"s{l}" if l > 0 and c == 1 else f"s{abs(l)}^{c if l > 0 else -c}" for l, c in runs)
-    return f"B{strands}: {body}".rstrip()
 
 
 _PREFIX = re.compile(r"\s*B0*(\d+):")
@@ -135,11 +131,6 @@ def parse_braid(text: str) -> BraidWord:
             raise BraidSyntaxError("empty braid word needs a strand prefix like 'B2:'", 0)
         declared = max_index + 1
     return BraidWord(declared, tuple(letters))
-
-
-def mirror(word: BraidWord) -> BraidWord:
-    """Flip every crossing; the closure becomes the mirror image."""
-    return BraidWord(word.strands, tuple(-l for l in word.letters))
 
 
 def _run_word(letters, op, inv_op, v, phi=None, gmul=None, ginv=None, identity=0):
@@ -416,59 +407,33 @@ def _kernel_mod(a: list[list[int]], mod: int):
     return count, v, steps
 
 
-def enumerate_colorings_affine(
-    word: BraidWord,
-    spec: AlexanderQuandleSpec,
-    budget: int = DEFAULT_BUDGET,
-    max_ring: int = MAX_QUANDLE_SIZE,
-):
+def enumerate_colorings_affine(word: BraidWord, spec: AlexanderQuandleSpec, budget: int = DEFAULT_BUDGET):
     """Closure colorings over an Alexander quandle via exact linear algebra.
 
-    Color propagation is linear over the coefficient ring, so the fixed
-    tuples form the kernel of (M - I) where M is the word's transfer
-    matrix.  The kernel is found over Z_m after expanding each ring
-    entry to a degree x degree integer block, so no enumeration of
-    candidate tuples happens; output matches enumerate_colorings
-    exactly, including order.  The budget bounds the number of
-    colorings materialized, checked before any are produced.
+    a*b = T a + (1-T) b is linear over the ring Z_m[T]/(p(T)), so pushing
+    colors through the word multiplies them by its transfer matrix M,
+    and the closure colorings form the kernel of (M - I).  Column (i, e)
+    of M is the basis coloring T^e on lane i, zero elsewhere, pushed
+    through the crossing loop _run_word; each lane's coefficients form
+    a degree-sized block of the integer system, which is solved over
+    Z_m, so no enumeration of candidate tuples happens.  Output matches
+    enumerate_colorings exactly, including order.  The budget bounds
+    the number of colorings materialized, checked before any are
+    produced.
     """
-    ring = spec.ring(max_size=max_ring)
-    t = ring.t
-    t_inv = ring.t_inverse()
-    one_minus_t = ring.sub(ring.one, t)
-    one_minus_t_inv = ring.sub(ring.one, t_inv)
-    s = word.strands
-
-    rows = [[ring.one if i == k else ring.zero for i in range(s)] for k in range(s)]
-    for letter in word.letters:
-        i = abs(letter)
-        a, b = i - 1, i
-        ra, rb = rows[a], rows[b]
-        if letter > 0:
-            new_b = [ring.add(ring.mul(t, ra[j]), ring.mul(one_minus_t, rb[j])) for j in range(s)]
-            rows[a], rows[b] = rb, new_b
-        else:
-            new_a = [
-                ring.add(ring.mul(t_inv, rb[j]), ring.mul(one_minus_t_inv, ra[j]))
-                for j in range(s)
-            ]
-            rows[a], rows[b] = new_a, ra
-
-    mod, deg = ring.modulus, ring.degree
-    basis = [ring.index_of(tuple(int(j == e) for j in range(deg))) for e in range(deg)]
+    quandle = build_alexander_quandle(spec)
+    mod, deg, s = spec.modulus, len(spec.poly) - 1, word.strands
     n_vars = s * deg
     system = [[0] * n_vars for _ in range(n_vars)]
-    for k in range(s):
-        for i in range(s):
-            entry = rows[k][i]
-            if i == k:
-                entry = ring.sub(entry, ring.one)
-            if entry == ring.zero:
-                continue
-            for e in range(deg):
-                coeffs = ring.elements[ring.mul(entry, basis[e])]
-                for r in range(deg):
-                    system[k * deg + r][i * deg + e] = coeffs[r]
+    for col in range(n_vars):
+        lane, e = divmod(col, deg)
+        v = [0] * s
+        v[lane] = mod**e  # an element's index reads its coefficients in base mod, so T^e is mod**e
+        _run_word(word.letters, quandle.op, quandle.inv_op, v)
+        for k, color in enumerate(v):
+            for r in range(deg):
+                color, system[k * deg + r][col] = divmod(color, mod)
+        system[col][col] = (system[col][col] - 1) % mod
 
     count, v, steps = _kernel_mod(system, mod)
     if count > budget:
@@ -487,7 +452,7 @@ def enumerate_colorings_affine(
                 for i in range(n_vars):
                     x[i] += col[i] * y
         coloring = tuple(
-            ring.index_of(tuple(x[i * deg + e] % mod for e in range(deg))) for i in range(s)
+            sum(x[i * deg + e] % mod * mod**e for e in range(deg)) for i in range(s)
         )
         colorings.append(coloring)
     colorings.sort()

@@ -50,7 +50,7 @@ from .quandle import (
     save_quandle,
     verify_quandle_axioms,
 )
-from .sequences import FamilyId, family_closed_f, family_point, parse_family_id
+from .sequences import FamilyId, family_closed_Z, family_closed_f, family_point, parse_family_id
 
 _TERM = re.compile(r"(\d+)?(?:T(?:\^(\d+))?)?\Z")
 
@@ -300,6 +300,16 @@ def _family_from_args(args) -> FamilyId:
 def _cmd_family(args) -> int:
     family = _family_from_args(args)
     lo, hi = _parse_range(args.n)
+    # Z grows with n, so the last member holds the widest coefficient.  Python 3.10.7+
+    # refuses to print an int of more digits than sys.get_int_max_str_digits() (0: no
+    # limit); 10**limit has more than 3 * limit bits, so it is built only when needed.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    widest = max(family_closed_Z(family, hi).coeffs)
+    if limit and widest.bit_length() > 3 * limit and widest >= 10**limit:
+        raise ValueError(
+            f"family {family} at n={hi} has a Z coefficient of more than {limit} digits, "
+            "above the integer string conversion limit; raise it with PYTHONINTMAXSTRDIGITS"
+        )
     cocycle = build_s4_cocycle()
     quandle = cocycle.quandle
     cache = _resolve_cache(args)

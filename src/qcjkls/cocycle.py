@@ -131,18 +131,6 @@ def build_s4_cocycle() -> Cocycle:
     return Cocycle(quandle=quandle, group=group, table=table)
 
 
-def twist_block_weight(c: Cocycle, a: int, b: int) -> int:
-    """Total weight phi(a,b) * phi(b,a*b) * phi(a*b,a) of a triple twist.
-
-    This is what a sigma_i^3 block contributes for a closure coloring
-    whose two strands enter the block colored (a, b); the block returns
-    the same pair at the bottom.
-    """
-    ab = c.quandle.op[a][b]
-    mul = c.group.mul
-    return mul[mul[c.table[a][b]][c.table[b][ab]]][c.table[ab][a]]
-
-
 def cocycle_from_json(data: dict, base_dir=None) -> Cocycle:
     """Parse {"quandle": <object or path>, "group_order": N, "table": [[...]]}.
 

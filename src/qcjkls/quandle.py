@@ -195,13 +195,13 @@ class ResidueRing:
     element order for m=2, p=T^2+T+1 is 0, 1, T, T+1.
     """
 
-    def __init__(self, modulus: int, poly, max_size: int = MAX_QUANDLE_SIZE):
+    def __init__(self, modulus: int, poly):
         self.poly = _normalize_poly(modulus, poly)
         self.modulus = modulus
         self.degree = len(self.poly) - 1
         size = modulus**self.degree
-        if size > max_size:
-            raise QuandleError(f"ring has {size} elements, above the table budget {max_size}")
+        if size > MAX_QUANDLE_SIZE:
+            raise QuandleError(f"ring has {size} elements, above the table budget {MAX_QUANDLE_SIZE}")
         self.size = size
         self._lead_inv = pow(self.poly[-1], -1, modulus)
         self.elements = tuple(self._coeffs_of(i) for i in range(size))
@@ -282,8 +282,8 @@ class AlexanderQuandleSpec:
     def __post_init__(self):
         object.__setattr__(self, "poly", _normalize_poly(self.modulus, self.poly))
 
-    def ring(self, max_size: int = MAX_QUANDLE_SIZE) -> ResidueRing:
-        return ResidueRing(self.modulus, self.poly, max_size=max_size)
+    def ring(self) -> ResidueRing:
+        return ResidueRing(self.modulus, self.poly)
 
     def describe(self) -> str:
         return f"Z_{self.modulus}[T]/({_poly_text(self.poly)})"
@@ -308,14 +308,15 @@ def _poly_text(poly: tuple[int, ...]) -> str:
 S4_SPEC = AlexanderQuandleSpec(2, (1, 1, 1))
 
 
-def build_alexander_quandle(spec: AlexanderQuandleSpec, max_size: int = MAX_QUANDLE_SIZE) -> QuandleTable:
-    """Tabulate a*b = T a + (1-T) b over the quotient ring of ``spec``.
+@cache
+def build_alexander_quandle(spec: AlexanderQuandleSpec) -> QuandleTable:
+    """Tabulate a*b = T a + (1-T) b over the quotient ring of ``spec``; built once per spec.
 
     Deterministic: element order is fixed by the base-m index encoding.
     Raises QuandleError when T is not invertible (no inverse operation
-    would exist) or when the ring exceeds ``max_size``.
+    would exist) or when the ring exceeds MAX_QUANDLE_SIZE elements.
     """
-    ring = spec.ring(max_size=max_size)
+    ring = spec.ring()
     t = ring.t
     t_inv = ring.t_inverse()
     one_minus_t = ring.sub(ring.one, t)
@@ -333,9 +334,8 @@ def build_alexander_quandle(spec: AlexanderQuandleSpec, max_size: int = MAX_QUAN
     return QuandleTable(size=size, op=op, inv_op=inv_op, labels=labels)
 
 
-@cache
 def build_s4() -> QuandleTable:
-    """The default 4-element Alexander quandle (labels 0, 1, T, T+1); built once."""
+    """The default 4-element Alexander quandle (labels 0, 1, T, T+1)."""
     return build_alexander_quandle(S4_SPEC)
 
 

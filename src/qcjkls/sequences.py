@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 
-from .braid import BraidWord, format_runs
+from .braid import BraidWord
 from .group_algebra import GroupAlgebraElement, build_cyclic_group
 
 FAMILY_KINDS = ("Kn", "KPrime", "K0", "Km", "KPrimeM")
@@ -191,9 +191,14 @@ class FamilyPoint:
     closed_f: tuple[float, float]
 
     def canonical(self) -> str:
-        """family_braid(...).canonical(), written from the blocks: adjacent blocks never merge."""
-        k = _twist_exponent(self.family)
-        return format_runs(self.strands, ((b, k) for b in _blocks(self.family, self.n)))
+        """family_braid(...).canonical(), written from the blocks: adjacent blocks never merge.
+
+        Every block has the same exponent k >= 3, so each signed generator
+        is formatted once.
+        """
+        k, blocks = _twist_exponent(self.family), _blocks(self.family, self.n)
+        texts = {b: f"s{b}^{k}" if b > 0 else f"s{-b}^{-k}" for b in set(blocks)}
+        return f"B{self.strands}: " + " ".join(map(texts.__getitem__, blocks))
 
     @cached_property
     def braid(self) -> BraidWord:

@@ -1,12 +1,13 @@
-"""Random words, small quandle tables, Markov moves, single-coloring
-propagation, letter-by-letter family words and the slow reference checks
-shared by the tests."""
+"""Random words, small quandle tables, mirrors and Markov moves,
+single-coloring propagation, twist-block weights, letter-by-letter family
+words and the slow reference checks shared by the tests."""
 
 from dataclasses import dataclass
+from itertools import product
 
-from qcjkls.braid import BraidWord
+from qcjkls.braid import DEFAULT_BUDGET, BraidWord, BudgetExceededError, _kernel_mod
 from qcjkls.cocycle import Cocycle, CocycleError
-from qcjkls.quandle import QuandleTable, make_quandle
+from qcjkls.quandle import AlexanderQuandleSpec, QuandleTable, make_quandle
 
 
 def random_word(rng, strands, runs, longest=3):
@@ -83,6 +84,11 @@ def column_permutations(rng, n):
     return make_quandle(tuple(tuple(columns[b][a] for b in range(n)) for a in range(n)))
 
 
+def mirror(word: BraidWord) -> BraidWord:
+    """Flip every crossing; the closure becomes the mirror image."""
+    return BraidWord(word.strands, tuple(-l for l in word.letters))
+
+
 def markov_conjugate(word: BraidWord, letter: int) -> BraidWord:
     """Markov conjugation w -> g^-1 w g by a single generator letter."""
     if letter == 0 or abs(letter) >= word.strands:
@@ -141,6 +147,93 @@ def propagate(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle, top) -> 
         weight = group.mul[weight][factor]
         trace.append((a, b, 1 if letter > 0 else -1))
     return ColoringTrace(top=top, bottom=tuple(v), weight=weight, per_crossing=tuple(trace))
+
+
+def twist_block_weight(c: Cocycle, a: int, b: int) -> int:
+    """Total weight phi(a,b) * phi(b,a*b) * phi(a*b,a) of a triple twist.
+
+    This is what a sigma_i^3 block contributes for a closure coloring
+    whose two strands enter the block colored (a, b); the block returns
+    the same pair at the bottom.
+    """
+    ab = c.quandle.op[a][b]
+    mul = c.group.mul
+    return mul[mul[c.table[a][b]][c.table[b][ab]]][c.table[ab][a]]
+
+
+def reference_affine_colorings(word: BraidWord, spec: AlexanderQuandleSpec, budget: int = DEFAULT_BUDGET):
+    """Closure colorings over an Alexander quandle via exact linear algebra,
+    with the transfer matrix built by ring arithmetic in t, t^-1, 1-t and
+    1-t^-1: the oracle for enumerate_colorings_affine.
+
+    Color propagation is linear over the coefficient ring, so the fixed
+    tuples form the kernel of (M - I) where M is the word's transfer
+    matrix.  The kernel is found over Z_m after expanding each ring
+    entry to a degree x degree integer block, so no enumeration of
+    candidate tuples happens; output matches enumerate_colorings
+    exactly, including order.  The budget bounds the number of
+    colorings materialized, checked before any are produced.
+    """
+    ring = spec.ring()
+    t = ring.t
+    t_inv = ring.t_inverse()
+    one_minus_t = ring.sub(ring.one, t)
+    one_minus_t_inv = ring.sub(ring.one, t_inv)
+    s = word.strands
+
+    rows = [[ring.one if i == k else ring.zero for i in range(s)] for k in range(s)]
+    for letter in word.letters:
+        i = abs(letter)
+        a, b = i - 1, i
+        ra, rb = rows[a], rows[b]
+        if letter > 0:
+            new_b = [ring.add(ring.mul(t, ra[j]), ring.mul(one_minus_t, rb[j])) for j in range(s)]
+            rows[a], rows[b] = rb, new_b
+        else:
+            new_a = [
+                ring.add(ring.mul(t_inv, rb[j]), ring.mul(one_minus_t_inv, ra[j]))
+                for j in range(s)
+            ]
+            rows[a], rows[b] = new_a, ra
+
+    mod, deg = ring.modulus, ring.degree
+    basis = [ring.index_of(tuple(int(j == e) for j in range(deg))) for e in range(deg)]
+    n_vars = s * deg
+    system = [[0] * n_vars for _ in range(n_vars)]
+    for k in range(s):
+        for i in range(s):
+            entry = rows[k][i]
+            if i == k:
+                entry = ring.sub(entry, ring.one)
+            if entry == ring.zero:
+                continue
+            for e in range(deg):
+                coeffs = ring.elements[ring.mul(entry, basis[e])]
+                for r in range(deg):
+                    system[k * deg + r][i * deg + e] = coeffs[r]
+
+    count, v, steps = _kernel_mod(system, mod)
+    if count > budget:
+        raise BudgetExceededError(f"{count} colorings exceed the budget {budget}")
+
+    free = [(j, g, step) for j, (g, step) in enumerate(steps) if g > 1]
+    columns = {j: [v[i][j] % mod for i in range(n_vars)] for j, _, _ in free}
+
+    colorings = []
+    for choice in product(*[range(g) for _, g, _ in free]):
+        x = [0] * n_vars
+        for (j, _, step), k in zip(free, choice):
+            y = (k * step) % mod
+            if y:
+                col = columns[j]
+                for i in range(n_vars):
+                    x[i] += col[i] * y
+        coloring = tuple(
+            ring.index_of(tuple(x[i * deg + e] % mod for e in range(deg))) for i in range(s)
+        )
+        colorings.append(coloring)
+    colorings.sort()
+    return colorings
 
 
 def _closure_arc_edges(word: BraidWord):

@@ -3,6 +3,7 @@ and the closure diagram checks (alternating, reduced)."""
 
 import random
 from itertools import groupby, product
+from math import gcd
 
 import pytest
 from _helpers import (
@@ -10,8 +11,10 @@ from _helpers import (
     dihedral,
     markov_conjugate,
     markov_stabilize,
+    mirror,
     propagate,
     random_word,
+    reference_affine_colorings,
     reference_reduced,
 )
 
@@ -25,7 +28,6 @@ from qcjkls.braid import (
     enumerate_colorings_affine,
     is_alternating_closure,
     is_reduced_closure,
-    mirror,
     parse_braid,
     _scan_tuples,
 )
@@ -286,6 +288,7 @@ def test_packed_colorings_at_full_chunk_size_match_affine(packed_only):
     for _ in range(3):
         word = random_word(rng, 7, 10)
         assert enumerate_colorings(word, quandle) == enumerate_colorings_affine(word, spec)
+        assert enumerate_colorings_affine(word, spec) == reference_affine_colorings(word, spec)
 
 
 def test_packed_colorings_long_runs(packed_only):
@@ -310,6 +313,28 @@ def test_colorings_fall_back_above_16_elements(monkeypatch):
     for _ in range(4):
         word = random_word(rng, 3, 4)
         assert enumerate_colorings(word, quandle) == enumerate_colorings_affine(word, spec), word
+        assert enumerate_colorings_affine(word, spec) == reference_affine_colorings(word, spec), word
+
+
+def _affine_outcome(solver, word, spec, budget):
+    try:
+        return solver(word, spec, budget=budget)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("modulus, degree", [(4, 2), (4, 3), (4, 4), (6, 2), (6, 3), (8, 2), (8, 3), (9, 2), (9, 3)])
+def test_affine_matches_ring_arithmetic_reference_over_composite_moduli(modulus, degree):
+    # the reference builds the transfer matrix by ring arithmetic in t, t^-1, 1-t and
+    # 1-t^-1; a constant term that is a unit mod m makes T invertible
+    rng = random.Random(modulus * 10 + degree)
+    units = [u for u in range(1, modulus) if gcd(u, modulus) == 1]
+    poly = (rng.choice(units),) + tuple(rng.randrange(modulus) for _ in range(degree - 1)) + (rng.choice(units),)
+    spec = AlexanderQuandleSpec(modulus, poly)
+    for _ in range(10):
+        word = random_word(rng, rng.randint(2, 4), rng.randint(1, 6))
+        expected = _affine_outcome(reference_affine_colorings, word, spec, 3000)
+        assert _affine_outcome(enumerate_colorings_affine, word, spec, 3000) == expected, (spec, word)
 
 
 def test_affine_budget_checked_before_output():

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 
 import json
+import sys
 
 import pytest
 from _helpers import reference_family_braid
@@ -323,6 +324,32 @@ def test_family_with_parameter(capsys):
 def test_family_parameter_conflict(capsys):
     code, out, err = run(capsys, ["family", "Km:2", "--n", "1..3", "--m", "1"])
     assert code == 2
+
+
+@pytest.fixture
+def int_str_limit():
+    """Set sys.set_int_max_str_digits for one test and restore it afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no integer string conversion limit")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+def test_family_refuses_a_Z_above_the_int_string_limit(capsys, int_str_limit, fmt):
+    # 3 * 4^n first has more than 4300 digits at n = 7142 (Kn) and 2n - 1 = 7143 (K0)
+    int_str_limit(4300)
+    for family, first_bad in (("Kn", 7142), ("K0", 3572)):
+        code, out, err = run(capsys, ["family", family, "--n", f"{first_bad - 2}..{first_bad}", "--format", fmt])
+        assert (code, out) == (2, "")
+        assert f"family {family} at n={first_bad} " in err and "4300 digits" in err
+        assert "PYTHONINTMAXSTRDIGITS" in err and "Traceback" not in err
+    code, out, err = run(capsys, ["family", "Kn", "--n", "7140..7141", "--format", fmt])
+    assert code == 0 and str(3 * 4**7141) in out
+    int_str_limit(0)  # no limit: nothing is refused
+    code, out, err = run(capsys, ["family", "Kn", "--n", "7142", "--format", fmt])
+    assert code == 0 and str(3 * 4**7142) in out
 
 
 def test_family_bad_range(capsys):

@@ -1,6 +1,7 @@
 """The standard Z_2-valued 2-cocycle on the 4-element quandle, and checks."""
 
 import pytest
+from _helpers import twist_block_weight
 
 from qcjkls.cocycle import (
     Cocycle,
@@ -10,7 +11,6 @@ from qcjkls.cocycle import (
     cocycle_from_json,
     load_cocycle,
     save_cocycle,
-    twist_block_weight,
     verify_cocycle,
 )
 from qcjkls.group_algebra import build_cyclic_group

@@ -63,6 +63,7 @@ def test_r3_equals_alexander_mod3():
     q = build_alexander_quandle(AlexanderQuandleSpec(3, (-2, 1)))
     assert q.size == 3
     assert q.op == R3_OP
+    assert build_alexander_quandle(AlexanderQuandleSpec(3, (1, 1))) is q  # same ring, built once
 
 
 def test_alexander_inverse_op_matches_t_inverse():
