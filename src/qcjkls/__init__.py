@@ -33,7 +33,6 @@ from .group_algebra import (
     AbelianGroup,
     GroupAlgebraElement,
     build_cyclic_group,
-    euclidean_distance,
 )
 from .invariant import (
     InvariantCache,

@@ -35,6 +35,10 @@ DEFAULT_BUDGET = 4**12
 MAX_LETTERS = 10**6
 # Longest numeral (leading zeros dropped) parse_braid converts with int().
 _MAX_DIGITS = len(str(MAX_LETTERS))
+# Cap on the members of a --n range A..B of `family` and `limits`: the
+# limit check compares every pair of tail samples, so 10^4 samples take
+# about a second per family and 10^8 would not finish.
+MAX_SAMPLES = 10**4
 
 
 class BraidSyntaxError(ValueError):

@@ -26,6 +26,7 @@ import sys
 from .braid import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    MAX_SAMPLES,
     enumerate_colorings,
     enumerate_colorings_affine,
     parse_braid,
@@ -50,7 +51,7 @@ from .quandle import (
     save_quandle,
     verify_quandle_axioms,
 )
-from .sequences import FamilyId, family_closed_Z, family_closed_f, family_point, parse_family_id
+from .sequences import FamilyId, family_closed_Z, family_closed_f, family_point, family_texts, parse_family_id
 
 _TERM = re.compile(r"(\d+)?(?:T(?:\^(\d+))?)?\Z")
 
@@ -85,6 +86,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo = hi = int(text)
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range {text!r}")
+    if hi - lo + 1 > MAX_SAMPLES:
+        raise ValueError(f"range {text!r} has {hi - lo + 1} members, above the cap of {MAX_SAMPLES}")
     return lo, hi
 
 
@@ -353,14 +356,14 @@ def _cmd_family(args) -> int:
             "points": [
                 {
                     "n": p.n,
-                    "braid": p.canonical(),
+                    "braid": text,
                     "strands": p.strands,
                     "crossings": p.closed_c,
                     "Z": p.closed_Z.to_json(),
                     "f": list(p.closed_f),
                     **({"check": check} if check is not None else {}),
                 }
-                for p, check in points
+                for (p, check), text in zip(points, family_texts(family, lo, hi))
             ],
             "limit_report": report.to_json() if report else None,
         }

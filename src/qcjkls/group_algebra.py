@@ -9,7 +9,6 @@ through logarithms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -89,11 +88,3 @@ def element_from_json(data: dict, group: AbelianGroup | None = None) -> GroupAlg
     elif tuple(group.labels) != labels:
         raise ValueError("serialized element was written over a different group")
     return GroupAlgebraElement(group, tuple(int(c) for c in data["coeffs"]))
-
-
-def euclidean_distance(u, v) -> float:
-    """Plain Euclidean distance between two coordinate tuples."""
-    u, v = tuple(u), tuple(v)
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return math.dist(u, v)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .group_algebra import euclidean_distance
 from .sequences import FamilyId
 
 DEFAULT_TOLERANCE = 1e-3
@@ -111,11 +110,7 @@ def limit_estimate(
 
     tail_len = max(2, math.ceil(len(samples) / 3))
     tail = [point for _, point in samples[-tail_len:]]
-    deviation = max(
-        euclidean_distance(tail[i], tail[j])
-        for i in range(len(tail))
-        for j in range(i + 1, len(tail))
-    )
+    deviation = max(math.dist(a, b) for i, a in enumerate(tail) for b in tail[i + 1 :])
     converged = deviation <= tolerance
     if converged:
         estimate: tuple[float, ...] | Box = samples[-1][1]

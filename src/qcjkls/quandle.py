@@ -308,28 +308,39 @@ def _poly_text(poly: tuple[int, ...]) -> str:
 S4_SPEC = AlexanderQuandleSpec(2, (1, 1, 1))
 
 
+def _translation(ring: ResidueRing, x: int) -> list[int]:
+    """Index of x + y for every index y: addition is digitwise mod m in the base-m index."""
+    m, row, place = ring.modulus, [0], 1
+    for _ in range(ring.degree):  # one more digit of y per pass, lowest first
+        x, digit = divmod(x, m)
+        shifts = [place * ((c + digit) % m) for c in range(m)]
+        row = [v + shift for shift in shifts for v in row]
+        place *= m
+    return row
+
+
 @cache
 def build_alexander_quandle(spec: AlexanderQuandleSpec) -> QuandleTable:
     """Tabulate a*b = T a + (1-T) b over the quotient ring of ``spec``; built once per spec.
 
-    Deterministic: element order is fixed by the base-m index encoding.
-    Raises QuandleError when T is not invertible (no inverse operation
-    would exist) or when the ring exceeds MAX_QUANDLE_SIZE elements.
+    Row a of the table is the translation by T a applied to the column
+    (1-T) b, and row a of the inverse the translation by T^-1 a applied
+    to (1-T^-1) b.  Deterministic: element order is fixed by the base-m
+    index encoding.  Raises QuandleError when T is not invertible (no
+    inverse operation would exist) or when the ring exceeds
+    MAX_QUANDLE_SIZE elements.
     """
     ring = spec.ring()
-    t = ring.t
-    t_inv = ring.t_inverse()
-    one_minus_t = ring.sub(ring.one, t)
-    one_minus_t_inv = ring.sub(ring.one, t_inv)
+    t, t_inv, size = ring.t, ring.t_inverse(), ring.size
 
-    size = ring.size
-    ta = [ring.mul(t, a) for a in range(size)]
-    tia = [ring.mul(t_inv, a) for a in range(size)]
-    ub = [ring.mul(one_minus_t, b) for b in range(size)]
-    uib = [ring.mul(one_minus_t_inv, b) for b in range(size)]
+    def rows(left: int, right: int) -> tuple[tuple[int, ...], ...]:  # left a + right b
+        column = [ring.mul(right, b) for b in range(size)]
+        return tuple(
+            tuple(map(_translation(ring, ring.mul(left, a)).__getitem__, column)) for a in range(size)
+        )
 
-    op = tuple(tuple(ring.add(ta[a], ub[b]) for b in range(size)) for a in range(size))
-    inv_op = tuple(tuple(ring.add(tia[a], uib[b]) for b in range(size)) for a in range(size))
+    op = rows(t, ring.sub(ring.one, t))
+    inv_op = rows(t_inv, ring.sub(ring.one, t_inv))
     labels = tuple(ring.label(i) for i in range(size))
     return QuandleTable(size=size, op=op, inv_op=inv_op, labels=labels)
 

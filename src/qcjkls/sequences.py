@@ -9,7 +9,8 @@ the limit analysis:
   Kn       palindromic tower in B_{n+1}: descending blocks n..2 with
            alternating signs, a central s1^3, then the mirror ascent.
   KPrime   variant of Kn whose state sum picks up binomial-sum
-           coefficients; recursive over n with an explicit odd-n word.
+           coefficients: an ascent over the odd indices 3..n sits
+           between the descent and the ascent.
   K0       pyramid in B_{2n} whose per-crossing free energy collapses
            to the origin.
   Km       Kn with every block exponent scaled by (2m+1).
@@ -21,10 +22,12 @@ and contribute identical weights), so Km and KPrimeM share Z with Kn
 and KPrime while their crossing numbers grow, which drives the
 per-crossing free energy toward zero at controlled rates.
 
-A word is stored as its twist blocks, one signed generator each, all
-with the family's exponent; adjacent blocks never share a generator.
-FamilyPoint reads the strand count and canonical text off the blocks;
-only family_braid expands them into letters.
+A word is stored as a few runs of block indices (ranges of step -1, 1
+or 2), one twist block per index; adjacent blocks never share a
+generator.  Block i is positive exactly when i % 2 equals the word's
+parity: 1 for Kn, Km, KPrime and KPrimeM, n % 2 for K0.  family_texts
+cuts each run's text as one slice out of a ladder string of block
+texts; only family_braid expands runs into letters.
 """
 
 from __future__ import annotations
@@ -79,34 +82,27 @@ def parse_family_id(text: str) -> FamilyId:
     return FamilyId(text)
 
 
-def _descent(n: int) -> list[int]:
-    """Blocks n..2 in descending order: odd indices positive, even negative."""
-    return [i if i % 2 else -i for i in range(n, 1, -1)]
+def _runs(family: FamilyId, n: int) -> tuple[int, list[range]]:
+    """The n-th word (n >= 1) as runs of block indices, and its sign parity.
 
-
-def _kprime_blocks(n: int) -> list[int]:
-    if n == 1:
-        return [1]
-    if n % 2 == 0:
-        return [-n] + _kprime_blocks(n - 1) + [-n]
-    # odd n = 2i+1 >= 3: descend n..2 alternating, s1, ascend the odd
-    # indices 3..n, then ascend 2..n alternating.
-    down = _descent(n)
-    return down + [1] + list(range(3, n + 1, 2)) + down[::-1]
+    Block i is sigma_i^k when i % 2 equals the parity and sigma_i^-k
+    otherwise.  A run may be empty.
+    """
+    if n < 1:
+        raise ValueError(f"family index must be >= 1, got {n}")
+    if family.kind in ("Kn", "Km"):  # descend n..1, then ascend 2..n
+        return 1, [range(n, 0, -1), range(2, n + 1)]
+    if family.kind in ("KPrime", "KPrimeM"):  # the same around an odd ascent 3, 5, ..
+        return 1, [range(n, 0, -1), range(3, n + 1, 2), range(2, n + 1)]
+    # K0 in B_{2n}: rows 1..n..1; row r uses indices r, r+2, ..., 2n-r
+    rows = chain(range(1, n + 1), range(n - 1, 0, -1))
+    return n % 2, [range(r, 2 * n - r + 1, 2) for r in rows]
 
 
 def _blocks(family: FamilyId, n: int) -> list[int]:
     """One signed generator per twist block of the n-th word (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"family index must be >= 1, got {n}")
-    if family.kind in ("Kn", "Km"):  # descend n..2, s1, then ascend 2..n
-        down = _descent(n)
-        return down + [1] + down[::-1]
-    if family.kind in ("KPrime", "KPrimeM"):
-        return _kprime_blocks(n)
-    # K0 in B_{2n}: rows 1..n..1; row r uses indices r, r+2, ..., 2n-r
-    rows = list(range(1, n + 1)) + list(range(n - 1, 0, -1))
-    return [i if i % 2 == n % 2 else -i for r in rows for i in range(r, 2 * n - r + 1, 2)]
+    parity, runs = _runs(family, n)
+    return [i if i % 2 == parity else -i for run in runs for i in run]
 
 
 def _strands(family: FamilyId, n: int) -> int:
@@ -134,6 +130,50 @@ def family_crossing_number(family: FamilyId, n: int) -> int:
         base = (15 * n - 9) // 2 if n % 2 == 1 else (15 * n - 12) // 2
         return base * scale
     return 3 * n * n + 3 * n - 3
+
+
+def _ladder(texts: list[str], order: range) -> tuple[str, list[int], list[int]]:
+    """texts[i] for i in order joined by spaces, with where each index's text starts and ends."""
+    start, end = [0] * len(texts), [0] * len(texts)
+    at = 0
+    for i in order:
+        start[i] = at
+        at += len(texts[i])
+        end[i] = at
+        at += 1
+    return " ".join([texts[i] for i in order]), start, end
+
+
+def family_texts(family: FamilyId, lo: int, hi: int) -> list[str]:
+    """family_braid(family, n).canonical() for n = lo..hi, as slices of shared ladders.
+
+    Each index's block text is formatted once per sign parity, up to the
+    top index of member hi.  A ladder joins them along a run's direction:
+    descending by 1, ascending by 1, or ascending by 2 from an odd or an
+    even index.  Every run of every member is then one slice of a ladder.
+    """
+    if lo < 1 or hi < lo:
+        raise ValueError(f"bad family range {lo}..{hi}")
+    k, top = _twist_exponent(family), _strands(family, hi) - 1
+    texts: dict[int, list[str]] = {}  # parity -> text of block i at index i
+    ladders: dict[tuple[int, int, int], tuple[str, list[int], list[int]]] = {}
+    members = []
+    for n in range(lo, hi + 1):
+        parity, runs = _runs(family, n)
+        pieces = []
+        for run in runs:
+            if not run:
+                continue
+            first = top if run.step < 0 else (run.start - 1) % run.step + 1
+            key = (parity, first, run.step)
+            if key not in ladders:
+                if parity not in texts:
+                    texts[parity] = [""] + [f"s{i}^{k if i % 2 == parity else -k}" for i in range(1, top + 1)]
+                ladders[key] = _ladder(texts[parity], range(first, 0 if run.step < 0 else top + 1, run.step))
+            text, start, end = ladders[key]
+            pieces.append(text[start[run[0]] : end[run[-1]]])
+        members.append(f"B{_strands(family, n)}: " + " ".join(pieces))
+    return members
 
 
 def binomial_sums(m: int) -> tuple[int, int]:
@@ -191,14 +231,8 @@ class FamilyPoint:
     closed_f: tuple[float, float]
 
     def canonical(self) -> str:
-        """family_braid(...).canonical(), written from the blocks: adjacent blocks never merge.
-
-        Every block has the same exponent k >= 3, so each signed generator
-        is formatted once.
-        """
-        k, blocks = _twist_exponent(self.family), _blocks(self.family, self.n)
-        texts = {b: f"s{b}^{k}" if b > 0 else f"s{-b}^{-k}" for b in set(blocks)}
-        return f"B{self.strands}: " + " ".join(map(texts.__getitem__, blocks))
+        """family_braid(...).canonical(), sliced from ladders: adjacent blocks never merge."""
+        return family_texts(self.family, self.n, self.n)[0]
 
     @cached_property
     def braid(self) -> BraidWord:

@@ -1,7 +1,9 @@
 """Random words, small quandle tables, mirrors and Markov moves,
 single-coloring propagation, twist-block weights, letter-by-letter family
-words and the slow reference checks shared by the tests."""
+words, Euclidean distance and the slow reference builders and checks
+shared by the tests."""
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -234,6 +236,35 @@ def reference_affine_colorings(word: BraidWord, spec: AlexanderQuandleSpec, budg
         colorings.append(coloring)
     colorings.sort()
     return colorings
+
+
+def reference_alexander_quandle(spec: AlexanderQuandleSpec) -> QuandleTable:
+    """a*b = T a + (1-T) b tabulated entry by entry through ResidueRing.add:
+    the oracle for build_alexander_quandle."""
+    ring = spec.ring()
+    t = ring.t
+    t_inv = ring.t_inverse()
+    one_minus_t = ring.sub(ring.one, t)
+    one_minus_t_inv = ring.sub(ring.one, t_inv)
+
+    size = ring.size
+    ta = [ring.mul(t, a) for a in range(size)]
+    tia = [ring.mul(t_inv, a) for a in range(size)]
+    ub = [ring.mul(one_minus_t, b) for b in range(size)]
+    uib = [ring.mul(one_minus_t_inv, b) for b in range(size)]
+
+    op = tuple(tuple(ring.add(ta[a], ub[b]) for b in range(size)) for a in range(size))
+    inv_op = tuple(tuple(ring.add(tia[a], uib[b]) for b in range(size)) for a in range(size))
+    labels = tuple(ring.label(i) for i in range(size))
+    return QuandleTable(size=size, op=op, inv_op=inv_op, labels=labels)
+
+
+def euclidean_distance(u, v) -> float:
+    """Plain Euclidean distance between two coordinate tuples."""
+    u, v = tuple(u), tuple(v)
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return math.dist(u, v)
 
 
 def _closure_arc_edges(word: BraidWord):

@@ -13,7 +13,7 @@ import math
 import random
 import time
 
-from _helpers import markov_conjugate, markov_stabilize
+from _helpers import euclidean_distance, markov_conjugate, markov_stabilize
 
 from qcjkls.braid import (
     BraidWord,
@@ -22,7 +22,7 @@ from qcjkls.braid import (
     parse_braid,
 )
 from qcjkls.cocycle import Cocycle, build_s4_cocycle, build_trivial_cocycle, verify_cocycle
-from qcjkls.group_algebra import build_cyclic_group, euclidean_distance
+from qcjkls.group_algebra import build_cyclic_group
 from qcjkls.invariant import cjkls_state_sum, compute_invariant
 from qcjkls.limits import closed_form_limit, distinguish_limits, limit_estimate
 from qcjkls.quandle import (

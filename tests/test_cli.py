@@ -2,12 +2,13 @@
 
 import json
 import sys
+import time
 
 import pytest
 from _helpers import reference_family_braid
 
 from qcjkls import sequences
-from qcjkls.cli import main
+from qcjkls.cli import _parse_range, main
 from qcjkls.cocycle import build_s4_cocycle, save_cocycle
 from qcjkls.quandle import build_s4, save_quandle
 
@@ -287,6 +288,18 @@ def test_family_sweep_builds_no_letters(capsys, monkeypatch):
         assert run(capsys, SWEEP + ["--format", fmt]) == (0, out, err), fmt
 
 
+def test_family_json_texts_match_the_per_point_path(capsys):
+    code, out, err = run(capsys, ["family", "KPrime", "--n", "1..50", "--format", "json"])
+    assert code == 0
+    family = sequences.FamilyId("KPrime")
+    points = json.loads(out)["points"]
+    assert [p["n"] for p in points] == list(range(1, 51))
+    for p in points:
+        n = p["n"]
+        assert p["braid"] == sequences.family_point(family, n).canonical(), n
+        assert p["braid"] == reference_family_braid(family, n).canonical(), n
+
+
 def test_family_verify_builds_letters(capsys, monkeypatch):
     calls = []
 
@@ -401,6 +414,18 @@ def test_limits_needs_enough_samples(capsys):
     code, out, err = run(capsys, ["limits", "--families", "Kn", "--n", "1..2"])
     assert code == 2
     assert "3 samples" in err
+
+
+def test_sample_ranges_are_capped(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["limits", "--families", "Kn", "--n", "1..100000000"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "100000000 members" in err and "cap of 10000" in err and "Traceback" not in err
+    for argv in (["limits", "--families", "Kn", "--n", "5..10005"], ["family", "Kn", "--n", "2..10002"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "") and "10001 members" in err, argv
+    assert _parse_range("3..10002") == (3, 10002)  # the cap itself is accepted
 
 
 def test_cache_file_round_trip(capsys, tmp_path):

@@ -2,11 +2,11 @@ import math
 
 import pytest
 
+from _helpers import euclidean_distance
 from qcjkls.group_algebra import (
     GroupAlgebraElement,
     build_cyclic_group,
     element_from_json,
-    euclidean_distance,
     group_from_labels,
 )
 

@@ -7,8 +7,10 @@ sequences the limit machinery exists for.
 """
 
 import math
+import random
 
 import pytest
+from _helpers import euclidean_distance
 
 from qcjkls.limits import (
     Box,
@@ -220,3 +222,13 @@ def test_box_validation():
     with pytest.raises(ValueError):
         Box((1.0,), (0.0,))
     assert Box((0.0,), (0.0,)).to_json() == {"lo": [0.0], "hi": [0.0]}
+
+
+def test_max_tail_deviation_is_the_largest_pairwise_distance():
+    rng = random.Random(7)
+    for dims in (1, 2, 3, 4):
+        for count in (3, 4, 10, 31, 83):
+            samples = [(n, tuple(rng.uniform(-1.0, 1.0) for _ in range(dims))) for n in range(1, count + 1)]
+            tail = [point for _, point in samples[-max(2, math.ceil(count / 3)) :]]
+            expected = max(euclidean_distance(a, b) for a in tail for b in tail)
+            assert limit_estimate(samples).max_tail_deviation == expected, (dims, count)

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from _helpers import reference_alexander_quandle
 
 from qcjkls.quandle import (
     S4_SPEC,
@@ -64,6 +65,31 @@ def test_r3_equals_alexander_mod3():
     assert q.size == 3
     assert q.op == R3_OP
     assert build_alexander_quandle(AlexanderQuandleSpec(3, (1, 1))) is q  # same ring, built once
+
+
+# (modulus, poly with constant term first): moduli 2-9, degrees 1-5, T invertible
+TRANSLATION_RINGS = [
+    (2, (1, 1, 0, 0, 1, 1)),
+    (3, (2, 0, 1, 1, 1)),
+    (4, (1, 1, 0, 1)),
+    (4, (3, 0, 1, 1, 0, 1)),
+    (5, (2, 3, 1)),
+    (6, (5, 1, 1)),
+    (6, (1, 4, 1)),
+    (7, (3, 2, 1)),
+    (8, (3, 1)),
+    (8, (1, 2, 1)),
+    (9, (4, 1)),
+    (9, (2, 3, 1)),
+]
+
+
+@pytest.mark.parametrize("modulus, poly", TRANSLATION_RINGS)
+def test_alexander_rows_by_translation_match_entrywise_ring_arithmetic(modulus, poly):
+    spec = AlexanderQuandleSpec(modulus, poly)
+    q = build_alexander_quandle(spec)
+    assert q.size == modulus ** (len(spec.poly) - 1)
+    assert q == reference_alexander_quandle(spec)  # op, inv_op and labels
 
 
 def test_alexander_inverse_op_matches_t_inverse():

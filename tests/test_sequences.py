@@ -18,6 +18,7 @@ from qcjkls.sequences import (
     family_closed_f,
     family_crossing_number,
     family_point,
+    family_texts,
     parse_family_id,
 )
 
@@ -67,6 +68,23 @@ def test_family_point_text_comes_from_blocks():
             assert all(a != b for a, b in zip(blocks, blocks[1:])), (family, n)
             word, point = family_braid(family, n), family_point(family, n)
             assert (point.canonical(), point.strands) == (word.canonical(), word.strands), (family, n)
+
+
+def test_family_texts_match_letter_oracle():
+    for family, max_n in ORACLE_CASES:
+        expected = [reference_family_braid(family, n).canonical() for n in range(1, max_n + 1)]
+        assert family_texts(family, 1, max_n) == expected, family
+        # one member at a time, and ranges starting above 1 (K0: at both parities)
+        for lo in range(1, max_n + 1):
+            assert family_texts(family, lo, lo) == [expected[lo - 1]], (family, lo)
+        for lo, hi in ((2, 9), (3, 17), (max_n // 2, max_n), (max_n - 1, max_n)):
+            assert family_texts(family, lo, hi) == expected[lo - 1 : hi], (family, lo, hi)
+
+
+def test_family_texts_refuse_bad_ranges():
+    for lo, hi in ((0, 3), (4, 3)):
+        with pytest.raises(ValueError, match="bad family range"):
+            family_texts(KN, lo, hi)
 
 
 def test_family_strand_counts():
