@@ -19,6 +19,7 @@ over-arc color).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby, product
 from math import gcd
@@ -35,10 +36,6 @@ DEFAULT_BUDGET = 4**12
 MAX_LETTERS = 10**6
 # Longest numeral (leading zeros dropped) parse_braid converts with int().
 _MAX_DIGITS = len(str(MAX_LETTERS))
-# Cap on the members of a --n range A..B of `family` and `limits`: the
-# limit check compares every pair of tail samples, so 10^4 samples take
-# about a second per family and 10^8 would not finish.
-MAX_SAMPLES = 10**4
 
 
 class BraidSyntaxError(ValueError):
@@ -483,67 +480,21 @@ def is_alternating_closure(word: BraidWord) -> bool:
 
 
 def is_reduced_closure(word: BraidWord) -> bool:
-    """No crossing of the closure diagram is nugatory.
+    """No crossing of the closure diagram is nugatory: no generator occurs exactly once.
 
-    The shadow of the closure is a planar 4-valent graph: its vertices
-    are the crossings, and an arc joins each pair of crossings that
-    follow each other along a lane, the last one wrapping round to the
-    first.  A crossing is nugatory exactly when it carries a kink loop
-    (it is alone on a lane) or is a cut vertex of its connected
-    component: removing a cut vertex splits its four edge ends 2 + 2,
-    planarity makes the two ends on each side adjacent, so one of the
-    two smoothings disconnects the shadow.  Cut vertices come from an
-    iterative Hopcroft-Tarjan depth-first search, so the check is
-    O(crossings).  Crossing-free circles (trivial lanes, split unknots)
-    add no vertex and never make a crossing nugatory.  The empty word is
-    reduced.
+    Lane j runs through the s_j and s_(j+1) crossings and wraps round,
+    so it is one cycle of the closure's shadow, and lanes i-1 and i meet
+    only at s_i crossings.  A crossing is nugatory exactly when it is
+    alone on a lane (a kink) or is a cut vertex of the shadow: removing
+    it splits its four edge ends 2 + 2, planarity makes the two ends on
+    each side adjacent, so one of its smoothings disconnects the shadow.
+
+    - A lone s_i crossing is either alone on a lane (s_(i-1) or s_(i+1)
+      does not occur) or a cut vertex between the lanes to its left and
+      the lanes to its right.
+    - When every generator in the word occurs at least twice, removing
+      one crossing leaves each lane's crossings as a path.  Every pair
+      of neighbouring lanes still shares a crossing, so nothing is cut.
+    - The empty word is reduced, and crossing-free lanes add no vertex.
     """
-    c = len(word.letters)
-    lanes: list[list[int]] = [[] for _ in range(word.strands)]
-    for k, letter in enumerate(word.letters):
-        i = abs(letter)
-        lanes[i - 1].append(k)
-        lanes[i].append(k)
-    adjacent: list[list[int]] = [[] for _ in range(c)]
-    for lane in lanes:
-        if len(lane) == 1:
-            return False
-        for u, v in zip(lane[-1:] + lane[:-1], lane):
-            adjacent[u].append(v)
-            adjacent[v].append(u)
-
-    order = [0] * c  # 1-based discovery index, 0 while unvisited
-    low = [0] * c
-    counter = 0
-    for root in range(c):
-        if order[root]:
-            continue
-        counter += 1
-        order[root] = low[root] = counter
-        root_children = 0
-        stack = [(root, iter(adjacent[root]))]
-        while stack:
-            u, neighbours = stack[-1]
-            for v in neighbours:
-                if not order[v]:
-                    counter += 1
-                    order[v] = low[v] = counter
-                    stack.append((v, iter(adjacent[v])))
-                    break
-                if order[v] < low[u]:
-                    low[u] = order[v]
-            else:
-                stack.pop()
-                if not stack:
-                    break
-                parent = stack[-1][0]
-                if parent == root:
-                    root_children += 1
-                elif low[u] >= order[parent]:
-                    return False
-                if low[u] < low[parent]:
-                    low[parent] = low[u]
-        if root_children > 1:
-            return False
-    return True
-
+    return 1 not in Counter(map(abs, word.letters)).values()

@@ -26,7 +26,6 @@ import sys
 from .braid import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    MAX_SAMPLES,
     enumerate_colorings,
     enumerate_colorings_affine,
     parse_braid,
@@ -76,6 +75,12 @@ def _parse_poly(text: str) -> tuple[int, ...]:
         coeffs[degree] = coeffs.get(degree, 0) + coefficient
     top = max(coeffs)
     return tuple(coeffs.get(d, 0) for d in range(top + 1))
+
+
+# Cap on the samples one `family` or `limits` command takes: the members of
+# its --n range, times the number of families for `limits`.  The limit check
+# compares every pair of tail samples, so 10^4 samples take about a second.
+MAX_SAMPLES = 10**4
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -332,7 +337,6 @@ def _cmd_family(args) -> int:
                         quandle,
                         cocycle,
                         budget=args.budget,
-                        assume_crossing_number=point.closed_c,
                         cache=cache,
                     )
                     check = "agree" if record.z.coeffs == point.closed_Z.coeffs else "differ"
@@ -428,6 +432,8 @@ def _cmd_limits(args) -> int:
         print("error: --families needs at least one family id", file=sys.stderr)
         return 2
     lo, hi = _parse_range(args.n)
+    if len(families) * (hi - lo + 1) > MAX_SAMPLES:
+        raise ValueError(f"{len(families)} families x {hi - lo + 1} members is above the cap of {MAX_SAMPLES} samples")
     if hi - lo < 2:
         print("error: need at least 3 samples; widen --n", file=sys.stderr)
         return 2

@@ -205,7 +205,6 @@ class ResidueRing:
         self.size = size
         self._lead_inv = pow(self.poly[-1], -1, modulus)
         self.elements = tuple(self._coeffs_of(i) for i in range(size))
-        self.zero = 0
         self.one = self.index_of((1,) + (0,) * (self.degree - 1))
         self.t = self.index_of(self._reduce([0, 1]))
 
@@ -232,12 +231,6 @@ class ResidueRing:
                 for j in range(deg + 1):
                     c[base + j] = (c[base + j] - factor * p[j]) % m
         return tuple(c[:deg])
-
-    def add(self, i: int, j: int) -> int:
-        m = self.modulus
-        return self.index_of(
-            tuple((x + y) % m for x, y in zip(self.elements[i], self.elements[j]))
-        )
 
     def sub(self, i: int, j: int) -> int:
         m = self.modulus
@@ -284,9 +277,6 @@ class AlexanderQuandleSpec:
 
     def ring(self) -> ResidueRing:
         return ResidueRing(self.modulus, self.poly)
-
-    def describe(self) -> str:
-        return f"Z_{self.modulus}[T]/({_poly_text(self.poly)})"
 
 
 def _poly_text(poly: tuple[int, ...]) -> str:

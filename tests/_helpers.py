@@ -9,7 +9,7 @@ from itertools import product
 
 from qcjkls.braid import DEFAULT_BUDGET, BraidWord, BudgetExceededError, _kernel_mod
 from qcjkls.cocycle import Cocycle, CocycleError
-from qcjkls.quandle import AlexanderQuandleSpec, QuandleTable, make_quandle
+from qcjkls.quandle import AlexanderQuandleSpec, QuandleTable, ResidueRing, make_quandle
 
 
 def random_word(rng, strands, runs, longest=3):
@@ -163,6 +163,12 @@ def twist_block_weight(c: Cocycle, a: int, b: int) -> int:
     return mul[mul[c.table[a][b]][c.table[b][ab]]][c.table[ab][a]]
 
 
+def ring_add(ring: ResidueRing, i: int, j: int) -> int:
+    """Index of the sum of two ring elements, coefficient by coefficient."""
+    m = ring.modulus
+    return ring.index_of(tuple((x + y) % m for x, y in zip(ring.elements[i], ring.elements[j])))
+
+
 def reference_affine_colorings(word: BraidWord, spec: AlexanderQuandleSpec, budget: int = DEFAULT_BUDGET):
     """Closure colorings over an Alexander quandle via exact linear algebra,
     with the transfer matrix built by ring arithmetic in t, t^-1, 1-t and
@@ -183,17 +189,17 @@ def reference_affine_colorings(word: BraidWord, spec: AlexanderQuandleSpec, budg
     one_minus_t_inv = ring.sub(ring.one, t_inv)
     s = word.strands
 
-    rows = [[ring.one if i == k else ring.zero for i in range(s)] for k in range(s)]
+    rows = [[ring.one if i == k else 0 for i in range(s)] for k in range(s)]
     for letter in word.letters:
         i = abs(letter)
         a, b = i - 1, i
         ra, rb = rows[a], rows[b]
         if letter > 0:
-            new_b = [ring.add(ring.mul(t, ra[j]), ring.mul(one_minus_t, rb[j])) for j in range(s)]
+            new_b = [ring_add(ring, ring.mul(t, ra[j]), ring.mul(one_minus_t, rb[j])) for j in range(s)]
             rows[a], rows[b] = rb, new_b
         else:
             new_a = [
-                ring.add(ring.mul(t_inv, rb[j]), ring.mul(one_minus_t_inv, ra[j]))
+                ring_add(ring, ring.mul(t_inv, rb[j]), ring.mul(one_minus_t_inv, ra[j]))
                 for j in range(s)
             ]
             rows[a], rows[b] = new_a, ra
@@ -207,7 +213,7 @@ def reference_affine_colorings(word: BraidWord, spec: AlexanderQuandleSpec, budg
             entry = rows[k][i]
             if i == k:
                 entry = ring.sub(entry, ring.one)
-            if entry == ring.zero:
+            if entry == 0:
                 continue
             for e in range(deg):
                 coeffs = ring.elements[ring.mul(entry, basis[e])]
@@ -239,7 +245,7 @@ def reference_affine_colorings(word: BraidWord, spec: AlexanderQuandleSpec, budg
 
 
 def reference_alexander_quandle(spec: AlexanderQuandleSpec) -> QuandleTable:
-    """a*b = T a + (1-T) b tabulated entry by entry through ResidueRing.add:
+    """a*b = T a + (1-T) b tabulated entry by entry through ring_add:
     the oracle for build_alexander_quandle."""
     ring = spec.ring()
     t = ring.t
@@ -253,8 +259,8 @@ def reference_alexander_quandle(spec: AlexanderQuandleSpec) -> QuandleTable:
     ub = [ring.mul(one_minus_t, b) for b in range(size)]
     uib = [ring.mul(one_minus_t_inv, b) for b in range(size)]
 
-    op = tuple(tuple(ring.add(ta[a], ub[b]) for b in range(size)) for a in range(size))
-    inv_op = tuple(tuple(ring.add(tia[a], uib[b]) for b in range(size)) for a in range(size))
+    op = tuple(tuple(ring_add(ring, ta[a], ub[b]) for b in range(size)) for a in range(size))
+    inv_op = tuple(tuple(ring_add(ring, tia[a], uib[b]) for b in range(size)) for a in range(size))
     labels = tuple(ring.label(i) for i in range(size))
     return QuandleTable(size=size, op=op, inv_op=inv_op, labels=labels)
 

@@ -251,7 +251,7 @@ def test_criterion_10_property_suites():
         for spec in specs:
             quandle = build_alexander_quandle(spec)
             assert quandle.size <= 27
-            assert verify_quandle_axioms(quandle).ok, spec.describe()
+            assert verify_quandle_axioms(quandle).ok, spec
 
         # (b) cocycle condition for the standard and trivial cocycles,
         # plus a mutated-table negative case

@@ -406,6 +406,11 @@ def test_reduced_goldens():
     assert not is_reduced_closure(parse_braid("B2: s1"))  # single kink
     assert not is_reduced_closure(parse_braid("B3: s2"))
     assert not is_reduced_closure(parse_braid("B3: s1^3 s2"))  # nugatory join
+    assert not is_reduced_closure(parse_braid("B4: s1^2 s2 s3^2"))  # cut vertex, no kink
+    assert not is_reduced_closure(parse_braid("B5: s1^2 s2 s3^2 s4^-2"))
+    assert is_reduced_closure(parse_braid("B4: s1^2 s2^-2 s3^2"))
+    assert is_reduced_closure(parse_braid("B3: s1 s2 s1 s2"))  # every generator twice, none in a run
+    assert is_reduced_closure(parse_braid("B5: s1^3 s3^-3"))  # split, with a gap at s2 and s4
 
 
 def _shape(word):
@@ -417,6 +422,7 @@ def _shape(word):
         "trivial lane": any(j not in used and j + 1 not in used for j in range(word.strands)),
         "split": any(i + 1 not in used and max(used) > i + 1 for i in used),
         "single kink": any(i - 1 not in used and i + 1 not in used for i in once),
+        "cut vertex": any(i - 1 in used and i + 1 in used for i in once),
         "long run": any(sum(1 for _ in run) >= 5 for _, run in groupby(word.letters)),
     }
 
@@ -438,3 +444,22 @@ def test_closure_checks_match_references_on_random_words():
             covered[kind] += present
     assert verdicts == {False, True}
     assert min(covered.values()) >= 100, covered
+
+
+def test_reduced_matches_reference_on_sparse_generator_pools():
+    """Few letters drawn from a random subset of the generators: gaps, lone
+    generators and split diagrams are common, so both verdicts are too."""
+    rng = random.Random(2718)
+    verdicts = []
+    cut_vertices = 0
+    for _ in range(2000):
+        strands = rng.randint(2, 10)
+        pool = [i for i in range(1, strands) if rng.random() < 0.6] or [rng.randint(1, strands - 1)]
+        length = rng.randint(0, min(20, 3 * len(pool)))
+        w = BraidWord(strands, tuple(rng.choice((1, -1)) * rng.choice(pool) for _ in range(length)))
+        reduced = is_reduced_closure(w)
+        assert reduced == reference_reduced(w), w.canonical()
+        verdicts.append(reduced)
+        cut_vertices += _shape(w)["cut vertex"]
+    assert 500 <= sum(verdicts) <= 1500, sum(verdicts)
+    assert cut_vertices >= 100, cut_vertices

@@ -428,6 +428,17 @@ def test_sample_ranges_are_capped(capsys):
     assert _parse_range("3..10002") == (3, 10002)  # the cap itself is accepted
 
 
+def test_limits_cap_counts_every_family(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["limits", "--families", "Kn,K0,KPrime", "--n", "1..4000"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "3 families x 4000 members" in err and "cap of 10000" in err and "Traceback" not in err
+    code, out, err = run(capsys, ["limits", "--families", "Kn,K0", "--n", "1..5000"])  # the cap itself
+    assert (code, err) == (0, "")
+    assert "limit[Kn]" in out and "limit[K0]" in out
+
+
 def test_cache_file_round_trip(capsys, tmp_path):
     cache = tmp_path / "cache.jsonl"
     code, first, _ = run(capsys, ["invariant", "s1^3", "--cache", str(cache), "--format", "json"])

@@ -220,7 +220,7 @@ def test_random_alexander_quandles_satisfy_axioms():
     ]
     for spec in specs:
         q = build_alexander_quandle(spec)
-        assert verify_quandle_axioms(q).ok, spec.describe()
+        assert verify_quandle_axioms(q).ok, spec
 
 
 def test_save_matches_document_format(tmp_path):
