@@ -21,8 +21,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, product
+from functools import cached_property, reduce
+from itertools import chain, compress, product, repeat, starmap
 from math import gcd
+from operator import itemgetter, ne, not_, sub
 
 from .cocycle import Cocycle
 from .quandle import AlexanderQuandleSpec, QuandleTable, build_alexander_quandle
@@ -67,18 +69,46 @@ class BraidWord:
             first = next(l for l in letters if l in bad)
             raise ValueError(f"letter {first} is not a generator of the {self.strands}-strand braid group")
 
+    @cached_property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """Maximal equal-letter runs as (letter, length) pairs, in word order."""
+        letters, n = self.letters, len(self.letters)
+        starts = [0, *compress(range(1, n), map(ne, letters, letters[1:]))] if n else []
+        return tuple(zip(map(letters.__getitem__, starts), map(sub, starts[1:] + [n], starts)))
+
     def canonical(self) -> str:
         """Serialize as "B<s>: s<i>^<e> ...", merging maximal equal-letter runs; exponent 1 is left out."""
-        runs = ((l, len(tuple(run))) for l, run in groupby(self.letters))
-        body = " ".join(f"s{l}" if l > 0 and c == 1 else f"s{abs(l)}^{c if l > 0 else -c}" for l, c in runs)
-        return f"B{self.strands}: {body}".rstrip()
+        text = {(l, c): f"s{l}" if l > 0 and c == 1 else f"s{abs(l)}^{c if l > 0 else -c}" for l, c in set(self.runs)}
+        return f"B{self.strands}: {' '.join(map(text.__getitem__, self.runs))}".rstrip()
 
     def __str__(self) -> str:
         return self.canonical()
 
 
-_PREFIX = re.compile(r"\s*B0*(\d+):")
-_ITEM = re.compile(r"s0*(\d+)(?:\^([+-]?)0*(\d+))?\Z")
+# Leading zeros are stripped after matching: 0*(\d+) backtracks quadratically on a long run of them.
+_PREFIX = re.compile(r"\s*B(\d+):")
+_ITEM = re.compile(r"s(\d+)(?:\^([+-]?)(\d+))?\Z")
+
+
+def _read_token(token: str, declared: int | None, at: int) -> tuple[int, int]:
+    """The (letter, count) run one token spells; raises BraidSyntaxError at position ``at``."""
+    item = _ITEM.match(token)
+    if not item:
+        raise BraidSyntaxError(f"expected s<i> or s<i>^<e>, got {token!r}", at)
+    index_digits, sign, exponent_digits = map(str.lstrip, item.groups(""), repeat("0"))
+    if len(index_digits) > _MAX_DIGITS:
+        raise BraidSyntaxError(f"generator index has more than {_MAX_DIGITS} digits", at)
+    index = int(index_digits or "0")
+    if index < 1:
+        raise BraidSyntaxError("generator indices start at 1", at)
+    if declared is not None and index >= declared:
+        raise BraidSyntaxError(f"generator s{index} does not exist on {declared} strands", at)
+    if len(exponent_digits) > _MAX_DIGITS:
+        raise BraidSyntaxError(f"braid word would exceed {MAX_LETTERS} letters", at)
+    exponent = int(sign + (exponent_digits or "0")) if item.group(3) else 1
+    if exponent == 0:
+        raise BraidSyntaxError("exponent 0 is not allowed", at)
+    return (index if exponent > 0 else -index), abs(exponent)
 
 
 def parse_braid(text: str) -> BraidWord:
@@ -87,51 +117,38 @@ def parse_braid(text: str) -> BraidWord:
     Without a "B<s>:" prefix the strand count is one more than the
     largest generator index.  Exponent 0, numerals with more digits than
     MAX_LETTERS and words of more than MAX_LETTERS letters are rejected;
-    syntax errors report a character position.
+    syntax errors report a character position.  The body is split once
+    and each distinct token read once; only a text that fails a check
+    is walked token by token, to find the first problem's position.
     """
     prefix = _PREFIX.match(text)
     declared = None
     start = 0
     if prefix:
-        if len(prefix.group(1)) > _MAX_DIGITS:
+        digits = prefix.group(1).lstrip("0")
+        if len(digits) > _MAX_DIGITS:
             raise BraidSyntaxError(f"strand count has more than {_MAX_DIGITS} digits", 0)
-        declared = int(prefix.group(1))
+        declared = int(digits or "0")
         if declared < 2:
             raise BraidSyntaxError(f"strand count must be >= 2, got {declared}", 0)
         start = prefix.end()
 
-    letters: list[int] = []
-    max_index = 0
-    saw_item = False
-    for token in re.finditer(r"\S+", text[start:]):
-        at = start + token.start()
-        item = _ITEM.match(token.group(0))
-        if not item:
-            raise BraidSyntaxError(f"expected s<i> or s<i>^<e>, got {token.group(0)!r}", at)
-        index_digits, sign, exponent_digits = item.groups("")
-        if len(index_digits) > _MAX_DIGITS:
-            raise BraidSyntaxError(f"generator index has more than {_MAX_DIGITS} digits", at)
-        index = int(index_digits)
-        if index < 1:
-            raise BraidSyntaxError("generator indices start at 1", at)
-        if declared is not None and index >= declared:
-            raise BraidSyntaxError(f"generator s{index} does not exist on {declared} strands", at)
-        if len(exponent_digits) > _MAX_DIGITS:
-            raise BraidSyntaxError(f"braid word would exceed {MAX_LETTERS} letters", at)
-        exponent = int(sign + exponent_digits) if exponent_digits else 1
-        if exponent == 0:
-            raise BraidSyntaxError("exponent 0 is not allowed", at)
-        if len(letters) + abs(exponent) > MAX_LETTERS:
-            raise BraidSyntaxError(f"braid word would exceed {MAX_LETTERS} letters", at)
-        letters.extend([index if exponent > 0 else -index] * abs(exponent))
-        max_index = max(max_index, index)
-        saw_item = True
+    tokens = text[start:].split()
+    try:
+        read = {token: _read_token(token, declared, 0) for token in set(tokens)}
+    except BraidSyntaxError:
+        read = {}
+    runs = list(map(read.get, tokens))
+    if None not in runs and (declared or runs) and sum(map(itemgetter(1), runs)) <= MAX_LETTERS:
+        strands = declared or max(abs(letter) for letter, _ in read.values()) + 1
+        return BraidWord(strands, tuple(chain.from_iterable(starmap(repeat, runs))))
 
-    if declared is None:
-        if not saw_item:
-            raise BraidSyntaxError("empty braid word needs a strand prefix like 'B2:'", 0)
-        declared = max_index + 1
-    return BraidWord(declared, tuple(letters))
+    total = 0
+    for token in re.compile(r"\S+").finditer(text, start):
+        total += _read_token(token.group(0), declared, token.start())[1]
+        if total > MAX_LETTERS:
+            raise BraidSyntaxError(f"braid word would exceed {MAX_LETTERS} letters", token.start())
+    raise BraidSyntaxError("empty braid word needs a strand prefix like 'B2:'", 0)
 
 
 def _run_word(letters, op, inv_op, v, phi=None, gmul=None, ginv=None, identity=0):
@@ -171,46 +188,119 @@ def _weight_args(cocycle: Cocycle | None) -> dict:
 PACKED_MAX = 16
 # Candidate tuples per chunk of the packed scan (one byte each per lane).
 CHUNK_TUPLES = 4**8
+# Most colored states (group order * quandle_size ** strands) a byte can name.
+STATES_MAX = 256
 
 # Maps a nonzero byte of the lane difference to a value no weight index has.
 _UNFIXED = bytes([0]) + bytes([0xF0]) * 255
+# Map a pair byte (x << 4) | y to its right lane y or its left lane x.
+_RIGHT = bytes(i & 15 for i in range(256))
+_LEFT = bytes(i >> 4 for i in range(256))
 
 
-def _compile_steps(letters, quandle: QuandleTable, cocycle: Cocycle | None):
-    """Byte tables for the packed scan, one step per maximal run of a letter.
+def _column(q: int, block: int, size: int) -> int:
+    """Integer whose byte i is color (i // block) % q, for i < size; size is a multiple of block * q."""
+    return int.from_bytes(b"".join(bytes([d]) * block for d in range(q)) * (size // (block * q)), "little")
 
-    A step is (left lane, kind, table, weight table).  The table maps a
-    packed pair byte (x << 4) | y of the two lanes to: the new right
-    lane (kind 1, a single positive letter), the new left lane (kind -1,
-    a single negative letter), or the packed output pair (kind 0, a run
-    of two or more letters).  The weight table maps the same byte to the
-    step's group weight, and is None when that weight is always the
-    identity.  Tables come from _run_word on each of the |X|^2 pairs, so
-    a run costs one table look-up per tuple however long it is.
+
+def _run_tables(quandle: QuandleTable, cocycle: Cocycle | None):
+    """Returns (gmul, run): gmul maps byte (w << 4) | x to the group product w * x.
+
+    run(sign, k) gives the (pair table, weight table) of k >= 1 letters
+    of that sign on one lane pair; they map a pair byte (x << 4) | y to
+    the pair the run leaves and to the run's weight.  Single letters come
+    from _run_word on the |X|^2 pairs, and the run of k composes the run
+    of k // 2 with itself, so it costs O(log k) compositions.  Bytes that
+    are no pair of colors map to themselves with the identity weight.
     """
     q = quandle.size
     kwargs = _weight_args(cocycle)
     identity = kwargs.get("identity", 0)
-    compiled = {}
+    gmul = bytearray(256)
+    for w, row in enumerate(kwargs.get("gmul", ())):
+        gmul[w << 4 : (w << 4) + len(row)] = bytes(row)
+    tables = {}
+    for sign in (1, -1):
+        pairs, weights = bytearray(range(256)), bytearray([identity]) * 256
+        for x in range(q):
+            for y in range(q):
+                v = [x, y]
+                weights[x << 4 | y] = _run_word((sign,), quandle.op, quandle.inv_op, v, **kwargs)
+                pairs[x << 4 | y] = v[0] << 4 | v[1]
+        tables[sign, 1] = (bytes(pairs), bytes(weights))
+
+    def compose(first, then):
+        (p1, w1), (p2, w2) = first, then
+        key = int.from_bytes(w1, "little") << 4 | int.from_bytes(p1.translate(w2), "little")
+        return p1.translate(p2), key.to_bytes(256, "little").translate(gmul)
+
+    def run(sign: int, k: int):
+        halvings = []
+        while (sign, k) not in tables:
+            halvings.append(k)
+            k //= 2
+        for k in reversed(halvings):
+            double = compose(tables[sign, k // 2], tables[sign, k // 2])
+            tables[sign, k] = compose(double, tables[sign, 1]) if k % 2 else double
+        return tables[sign, k]
+
+    return bytes(gmul), run
+
+
+def _compile_steps(runs, run, identity: int):
+    """Packed-scan steps (left lane, kind, table, weight table), one per run.
+
+    The table maps a pair byte (x << 4) | y of the two lanes to the new
+    right lane (kind 1, one positive letter), the new left lane (kind -1,
+    one negative letter) or the output pair (kind 0, a longer run); the
+    weight table, None when always the identity, to the run's weight.
+    """
     steps = []
-    for letter, run in groupby(letters):
-        k = sum(1 for _ in run)
+    for letter, k in runs:
         sign = 1 if letter > 0 else -1
-        if (sign, k) not in compiled:
-            table = bytearray(256)
-            weights = bytearray(256)
-            for x in range(q):
-                for y in range(q):
-                    v = [x, y]
-                    weights[x << 4 | y] = _run_word((sign,) * k, quandle.op, quandle.inv_op, v, **kwargs)
-                    if k > 1:
-                        table[x << 4 | y] = v[0] << 4 | v[1]
-                    else:
-                        table[x << 4 | y] = v[1] if sign > 0 else v[0]
-            trivial = all(weights[x << 4 | y] == identity for x in range(q) for y in range(q))
-            compiled[sign, k] = (0 if k > 1 else sign, bytes(table), None if trivial else bytes(weights))
-        steps.append((abs(letter) - 1,) + compiled[sign, k])
+        pairs, weights = run(sign, k)
+        if k == 1:
+            pairs = pairs.translate(_RIGHT if sign > 0 else _LEFT)
+        steps.append((abs(letter) - 1, 0 if k > 1 else sign, pairs, None if weights.count(identity) == 256 else weights))
     return steps
+
+
+def _scan_states(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None):
+    """The byte-state scan behind _scan; needs group order * q**s <= STATES_MAX.
+
+    Byte w * q**s + i names the top tuple of lexicographic index i with
+    weight w.  Each distinct run becomes one 256-byte table over these
+    states, built from its two-lane tables by carry-free arithmetic on
+    columns of state bytes, so the word is one bytes.translate per run
+    of the identity-weight states.  Tuple i closes up with weight g where
+    its final state is g * q**s + i.
+    """
+    q, s = quandle.size, word.strands
+    order, identity = (cocycle.group.order, cocycle.group.identity) if cocycle is not None else (1, 0)
+    n, size = q**s, order * q**s
+    gmul, run = _run_tables(quandle, cocycle)
+    times_n = (int.from_bytes(gmul, "little") * n).to_bytes(256, "little")
+    index = int.from_bytes(bytes(range(n)) * order, "little")
+    weight = _column(order, n, size) << 4
+    low = int.from_bytes(b"\x0f" * size, "little")
+    digits = [_column(q, q ** (s - 1 - j), size) for j in range(s)]
+    tables = {}
+    for letter, k in set(word.runs):
+        a = abs(letter) - 1
+        hi, lo, x, y = q ** (s - 1 - a), q ** (s - 2 - a), digits[a], digits[a + 1]
+        pairs = (x << 4 | y).to_bytes(size, "little")
+        moves, weights = run(1 if letter > 0 else -1, k)
+        moved = int.from_bytes(pairs.translate(moves), "little")
+        key = (weight | int.from_bytes(pairs.translate(weights), "little")).to_bytes(size, "little")
+        # each byte stays in [0, size), so no sum or difference carries between bytes
+        state = int.from_bytes(key.translate(times_n), "little") + index - x * hi - y * lo
+        tables[letter, k] = (state + (moved >> 4 & low) * hi + (moved & low) * lo).to_bytes(256, "little")
+    start = bytes(range(identity * n, identity * n + n))
+    final = int.from_bytes(reduce(bytes.translate, map(tables.__getitem__, word.runs), start), "little")
+    diffs = [(final ^ int.from_bytes(bytes(range(g * n, g * n + n)), "little")).to_bytes(n, "little") for g in range(order)]
+    if cocycle is None:
+        return list(compress(product(range(q), repeat=s), map(not_, diffs[0])))
+    return [diff.count(0) for diff in diffs]
 
 
 def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None):
@@ -232,24 +322,14 @@ def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
     while trailing < s and q ** (trailing + 1) <= CHUNK_TUPLES:
         trailing += 1
     n = q**trailing
-    steps = _compile_steps(word.letters, quandle, cocycle)
+    gmul, run = _run_tables(quandle, cocycle)
+    identity = cocycle.group.identity if cocycle is not None else 0
+    steps = _compile_steps(word.runs, run, identity)
     weighted = any(step[3] is not None for step in steps)
-    if weighted:
-        group = cocycle.group
-        gmul = bytearray(256)
-        for w in range(group.order):
-            for x in range(group.order):
-                gmul[w << 4 | x] = group.mul[w][x]
-        unit = int.from_bytes(bytes([group.identity]) * n, "little")
-
-    def column(block: int) -> int:
-        # color d at tuple index i of the chunk where (i // block) % q == d
-        pattern = b"".join(bytes([d]) * block for d in range(q))
-        return int.from_bytes(pattern * (n // (block * q)), "little")
-
+    unit = int.from_bytes(bytes([identity]) * n, "little")
     constant = [int.from_bytes(bytes([d]) * n, "little") for d in range(q)]
     low = int.from_bytes(b"\x0f" * n, "little")
-    tops = [column(q**p) for p in reversed(range(trailing))]
+    tops = [_column(q, q**p, n) for p in reversed(range(trailing))]
     # tuple index i of a chunk spells the trailing colors high + low
     low_tails = list(product(range(q), repeat=trailing // 2))
     high_tails = list(product(range(q), repeat=trailing - trailing // 2))
@@ -292,7 +372,7 @@ def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
 
 
 def _scan_tuples(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None):
-    """Per-tuple reference scan through _run_word; same results as _scan_packed."""
+    """Per-tuple reference scan through _run_word; same results as _scan_states and _scan_packed."""
     kwargs = _weight_args(cocycle)
     op, inv_op = quandle.op, quandle.inv_op
     letters = word.letters
@@ -314,8 +394,9 @@ def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, budge
     the budget.  Without a cocycle, returns the closure colorings as top
     tuples in lexicographic order; with one, returns the coefficient
     list of the state sum over the cocycle's group.  A quandle and group
-    of at most PACKED_MAX elements each take the packed-column path,
-    larger ones the per-tuple path.
+    of at most PACKED_MAX elements each take the byte-state path when
+    their colored states fit STATES_MAX, else the packed-column path;
+    larger ones take the per-tuple path.
     """
     q, s = quandle.size, word.strands
     # exact q ** s > budget: capping s at budget.bit_length() + 1 keeps the power small,
@@ -323,9 +404,10 @@ def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, budge
     if q ** min(s, budget.bit_length() + 1) > budget:
         raise BudgetExceededError(f"{q}^{s} candidate tuples exceed the budget {budget}")
     order = cocycle.group.order if cocycle is not None else 1
-    if q <= PACKED_MAX and order <= PACKED_MAX:
-        return _scan_packed(word, quandle, cocycle)
-    return _scan_tuples(word, quandle, cocycle)
+    if q > PACKED_MAX or order > PACKED_MAX:
+        return _scan_tuples(word, quandle, cocycle)
+    # likewise 2 ** 9 > STATES_MAX, so s capped at 9 decides the state count exactly
+    return (_scan_states if order * q ** min(s, 9) <= STATES_MAX else _scan_packed)(word, quandle, cocycle)
 
 
 def enumerate_colorings(word: BraidWord, quandle: QuandleTable, budget: int = DEFAULT_BUDGET):
@@ -336,12 +418,17 @@ def enumerate_colorings(word: BraidWord, quandle: QuandleTable, budget: int = DE
     return _scan(word, quandle, None, budget)
 
 
-def _diagonalize(a: list[list[int]]):
-    """Integer diagonalization A -> U A V = D; returns (diag, V).
+def _diagonalize(a: list[list[int]], mod: int):
+    """Diagonalization over Z_mod, A -> U A V = D; returns (diag, V).
 
     Row operations are not tracked (only the kernel is wanted); column
-    operations are mirrored into V, which stays unimodular.  Diagonal
-    entries need not form a divisibility chain.
+    operations are mirrored into V, which stays invertible over Z_mod.
+    Entries are kept in [0, mod).  The pivot is the first unit met, else
+    the smallest nonzero entry: a unit clears its row and column exactly,
+    any other pivot leaves remainders smaller than itself, so the loop
+    ends.  Only the pivot row's nonzero columns and the rows that meet
+    the pivot column are touched.  Diagonal entries need not form a
+    divisibility chain.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -354,8 +441,10 @@ def _diagonalize(a: list[list[int]]):
             row = a[i]
             for j in range(t, n):
                 e = row[j]
-                if e and (best is None or abs(e) < best):
-                    pivot, best = (i, j), abs(e)
+                if e and (best is None or e < best):
+                    pivot, best = (i, j), e
+            if best is not None and gcd(best, mod) == 1:
+                break
         if pivot is None:
             break
         pi, pj = pivot
@@ -366,37 +455,31 @@ def _diagonalize(a: list[list[int]]):
             for row in v:
                 row[t], row[pj] = row[pj], row[t]
 
+        inverse = pow(best, -1, mod) if gcd(best, mod) == 1 else None
         dirty = False
         pivot_row = a[t]
-        for i in range(m):
-            if i != t and a[i][t]:
-                q = a[i][t] // pivot_row[t]
-                if q:
-                    row = a[i]
-                    for j in range(t, n):
-                        row[j] -= q * pivot_row[j]
-                if a[i][t]:
-                    dirty = True
-        for j in range(n):
-            if j != t and pivot_row[j]:
-                q = pivot_row[j] // pivot_row[t]
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-                    for row in v:
-                        row[j] -= q * row[t]
-                if pivot_row[j]:
-                    dirty = True
-        if dirty:
-            continue
-        t += 1
+        support = [j for j in range(t, n) if pivot_row[j]]
+        for row in a:
+            if row is not pivot_row and row[t]:
+                q = row[t] * inverse % mod if inverse else row[t] // best
+                for j in support:
+                    row[j] = (row[j] - q * pivot_row[j]) % mod
+                dirty = dirty or row[t] != 0
+        live = [row for row in a + v if row[t]]
+        for j in support[1:]:
+            q = pivot_row[j] * inverse % mod if inverse else pivot_row[j] // best
+            for row in live:
+                row[j] = (row[j] - q * row[t]) % mod
+            dirty = dirty or pivot_row[j] != 0
+        if not dirty:
+            t += 1
     diag = [a[i][i] for i in range(min(m, n))]
     return diag, v
 
 
 def _kernel_mod(a: list[list[int]], mod: int):
     """Solutions of A x == 0 over Z_mod: returns (solution count, V, step table)."""
-    diag, v = _diagonalize([row[:] for row in a])
+    diag, v = _diagonalize([[e % mod for e in row] for row in a], mod)
     n = len(a[0]) if a else 0
     steps = []
     count = 1
@@ -425,16 +508,17 @@ def enumerate_colorings_affine(word: BraidWord, spec: AlexanderQuandleSpec, budg
     quandle = build_alexander_quandle(spec)
     mod, deg, s = spec.modulus, len(spec.poly) - 1, word.strands
     n_vars = s * deg
-    system = [[0] * n_vars for _ in range(n_vars)]
+    places = [mod**e for e in range(deg)]  # an element's index reads its coefficients in base mod
+    images = []
     for col in range(n_vars):
         lane, e = divmod(col, deg)
         v = [0] * s
-        v[lane] = mod**e  # an element's index reads its coefficients in base mod, so T^e is mod**e
+        v[lane] = places[e]  # T^e
         _run_word(word.letters, quandle.op, quandle.inv_op, v)
-        for k, color in enumerate(v):
-            for r in range(deg):
-                color, system[k * deg + r][col] = divmod(color, mod)
-        system[col][col] = (system[col][col] - 1) % mod
+        images.append([color // place % mod for color in v for place in places])
+    system = [list(row) for row in zip(*images)]
+    for i in range(n_vars):
+        system[i][i] = (system[i][i] - 1) % mod
 
     count, v, steps = _kernel_mod(system, mod)
     if count > budget:
@@ -447,15 +531,10 @@ def enumerate_colorings_affine(word: BraidWord, spec: AlexanderQuandleSpec, budg
     for choice in product(*[range(g) for _, g, _ in free]):
         x = [0] * n_vars
         for (j, _, step), k in zip(free, choice):
-            y = (k * step) % mod
-            if y:
-                col = columns[j]
-                for i in range(n_vars):
-                    x[i] += col[i] * y
-        coloring = tuple(
-            sum(x[i * deg + e] % mod * mod**e for e in range(deg)) for i in range(s)
-        )
-        colorings.append(coloring)
+            y = k * step % mod
+            x = [xi + ci * y for xi, ci in zip(x, columns[j])]
+        digits = [xi % mod * place for xi, place in zip(x, places * s)]
+        colorings.append(tuple(map(sum, zip(*[iter(digits)] * deg))))
     colorings.sort()
     return colorings
 
@@ -472,7 +551,7 @@ def is_alternating_closure(word: BraidWord) -> bool:
     with a single sign, and neighbouring generators carry opposite signs.
     """
     signs: dict[int, bool] = {}
-    for letter in word.letters:
+    for letter, _ in word.runs:
         positive = letter > 0
         if signs.setdefault(abs(letter), positive) != positive:
             return False

@@ -1,13 +1,15 @@
 """Random words, small quandle tables, mirrors and Markov moves,
 single-coloring propagation, twist-block weights, letter-by-letter family
-words, Euclidean distance and the slow reference builders and checks
-shared by the tests."""
+words, Euclidean distance, a token-by-token braid parser and the slow
+reference builders and checks shared by the tests."""
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import product
 
-from qcjkls.braid import DEFAULT_BUDGET, BraidWord, BudgetExceededError, _kernel_mod
+from qcjkls import braid
+from qcjkls.braid import DEFAULT_BUDGET, BraidSyntaxError, BraidWord, BudgetExceededError, _kernel_mod
 from qcjkls.cocycle import Cocycle, CocycleError
 from qcjkls.quandle import AlexanderQuandleSpec, QuandleTable, ResidueRing, make_quandle
 
@@ -18,6 +20,62 @@ def random_word(rng, strands, runs, longest=3):
     for _ in range(runs):
         letters += [rng.choice((1, -1)) * rng.randint(1, strands - 1)] * rng.randint(1, longest)
     return BraidWord(strands, tuple(letters))
+
+
+_REFERENCE_PREFIX = re.compile(r"\s*B0*(\d+):")
+_REFERENCE_ITEM = re.compile(r"s0*(\d+)(?:\^([+-]?)0*(\d+))?\Z")
+
+
+def reference_parse_braid(text: str) -> BraidWord:
+    """parse_braid one token at a time, with leading zeros dropped by the
+    patterns themselves: the oracle for parse_braid's results, messages
+    and positions.  The 0* patterns backtrack quadratically on long runs
+    of zeros, so inputs should keep those short.  MAX_LETTERS is read
+    from the braid module at each call, so a patched cap applies."""
+    max_letters, max_digits = braid.MAX_LETTERS, braid._MAX_DIGITS
+    prefix = _REFERENCE_PREFIX.match(text)
+    declared = None
+    start = 0
+    if prefix:
+        if len(prefix.group(1)) > max_digits:
+            raise BraidSyntaxError(f"strand count has more than {max_digits} digits", 0)
+        declared = int(prefix.group(1))
+        if declared < 2:
+            raise BraidSyntaxError(f"strand count must be >= 2, got {declared}", 0)
+        start = prefix.end()
+
+    letters: list[int] = []
+    max_index = 0
+    saw_item = False
+    for token in re.finditer(r"\S+", text[start:]):
+        at = start + token.start()
+        item = _REFERENCE_ITEM.match(token.group(0))
+        if not item:
+            raise BraidSyntaxError(f"expected s<i> or s<i>^<e>, got {token.group(0)!r}", at)
+        index_digits, sign, exponent_digits = item.groups("")
+        if len(index_digits) > max_digits:
+            raise BraidSyntaxError(f"generator index has more than {max_digits} digits", at)
+        index = int(index_digits)
+        if index < 1:
+            raise BraidSyntaxError("generator indices start at 1", at)
+        if declared is not None and index >= declared:
+            raise BraidSyntaxError(f"generator s{index} does not exist on {declared} strands", at)
+        if len(exponent_digits) > max_digits:
+            raise BraidSyntaxError(f"braid word would exceed {max_letters} letters", at)
+        exponent = int(sign + exponent_digits) if exponent_digits else 1
+        if exponent == 0:
+            raise BraidSyntaxError("exponent 0 is not allowed", at)
+        if len(letters) + abs(exponent) > max_letters:
+            raise BraidSyntaxError(f"braid word would exceed {max_letters} letters", at)
+        letters.extend([index if exponent > 0 else -index] * abs(exponent))
+        max_index = max(max_index, index)
+        saw_item = True
+
+    if declared is None:
+        if not saw_item:
+            raise BraidSyntaxError("empty braid word needs a strand prefix like 'B2:'", 0)
+        declared = max_index + 1
+    return BraidWord(declared, tuple(letters))
 
 
 def _block(index, exponent):

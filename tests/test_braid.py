@@ -2,6 +2,7 @@
 and the closure diagram checks (alternating, reduced)."""
 
 import random
+import time
 from itertools import groupby, product
 from math import gcd
 
@@ -15,6 +16,7 @@ from _helpers import (
     propagate,
     random_word,
     reference_affine_colorings,
+    reference_parse_braid,
     reference_reduced,
 )
 
@@ -82,6 +84,8 @@ def test_canonical_round_trip():
 def test_canonical_merges_runs():
     assert parse_braid("B2: s1 s1 s1").canonical() == "B2: s1^3"
     assert parse_braid("B3: s1 s1 s2^-1 s2^-1 s1").canonical() == "B3: s1^2 s2^-2 s1"
+    assert parse_braid("B3: s1 s1 s2^-1 s2^-1 s1").runs == ((1, 2), (-2, 2), (1, 1))
+    assert BraidWord(3, ()).runs == ()
 
 
 def test_parse_caps_word_length(monkeypatch):
@@ -115,6 +119,78 @@ def test_parse_errors_carry_positions():
 
     with pytest.raises(BraidSyntaxError):
         parse_braid("s1^")
+
+
+@pytest.mark.parametrize("head", ["s", "B", "s1^"])
+def test_parse_time_is_linear_in_a_run_of_zeros(head):
+    # a 0*(\d+) pattern backtracks quadratically here: 8.8 s at 16000 zeros
+    started = time.perf_counter()
+    with pytest.raises(BraidSyntaxError, match="expected s<i>") as err:
+        parse_braid(head + "0" * 10**5 + "x")
+    assert time.perf_counter() - started < 1.0
+    assert err.value.position == 0
+
+
+def test_leading_zeros_do_not_count_as_digits():
+    word = parse_braid("B" + "0" * 50 + "3: s" + "0" * 40 + "2^-" + "0" * 30 + "2")
+    assert (word.strands, word.letters) == (3, (-2, -2))
+    with pytest.raises(BraidSyntaxError, match="exponent 0"):
+        parse_braid("s1^" + "0" * 10**5)
+    with pytest.raises(BraidSyntaxError, match="indices start at 1"):
+        parse_braid("s" + "0" * 10**5)
+
+
+_SPACES = (" ", " ", " ", "  ", "\t", "\n ", "\u00a0", "\u2003", "\x1c", "\u3000", "\x85", "")
+_BAD_TOKENS = ("foo", "s", "s1^", "s^2", "x1", "S1", "s1^2^3", "s-1", "s1^--2", "B2:", "s1,", "s1^+", "s\u200b1")
+_PREFIXES = ("", "", "", "B3:", "B2: ", "B0003:", "B1:", "B0:", "B12345678:", "B000000009:", "  B4:", "B5", "B10:")
+
+
+def _numeral(rng, low=1, high=4):
+    roll = rng.random()
+    if roll < 0.7:
+        return str(rng.randint(low, high))
+    if roll < 0.85:
+        return "0" * rng.randint(1, 9) + str(rng.randint(0, 12))
+    if roll < 0.93:
+        return str(rng.randint(10**7, 10**9))  # more digits than MAX_LETTERS has
+    return rng.choice(("0", "\u0663", "00000003", "9999999"))
+
+
+def _braid_text(rng):
+    tokens = []
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.04:
+            tokens.append(rng.choice(_BAD_TOKENS))
+            continue
+        token = "s" + _numeral(rng)
+        if rng.random() < 0.5:
+            token += "^" + rng.choice(("", "", "+", "-", "-")) + _numeral(rng, 1, 6)
+        tokens.append(token)
+    body = "".join(token + rng.choice(_SPACES) for token in tokens)
+    return rng.choice(("", " ", "\t")) + rng.choice(_PREFIXES) + rng.choice(("", " ")) + body
+
+
+def _parse_outcome(parse, text):
+    try:
+        word = parse(text)
+    except BraidSyntaxError as exc:
+        return str(exc), exc.position
+    return word.strands, word.letters
+
+
+@pytest.mark.parametrize("max_letters", [None, 12])
+def test_parse_matches_token_by_token_reference(monkeypatch, max_letters):
+    if max_letters is not None:
+        monkeypatch.setattr(braid, "MAX_LETTERS", max_letters)
+    rng = random.Random(max_letters or 1)
+    words = errors = 0
+    for _ in range(2500):
+        text = _braid_text(rng)
+        outcome = _parse_outcome(parse_braid, text)
+        assert outcome == _parse_outcome(reference_parse_braid, text), repr(text)
+        words += isinstance(outcome[1], tuple)
+        errors += isinstance(outcome[1], int)
+    assert min(words, errors) >= 500, (words, errors)
 
 
 def test_braid_word_validation():
@@ -267,7 +343,9 @@ def test_packed_colorings_match_reference_for_sizes_2_to_16(packed_only):
         for quandle in (dihedral(n), column_permutations(rng, n)):
             for _ in range(2):
                 word = random_word(rng, strands, rng.randint(1, 8))
-                assert enumerate_colorings(word, quandle) == _scan_tuples(word, quandle, None), (n, word)
+                expected = _scan_tuples(word, quandle, None)
+                assert braid._scan_packed(word, quandle, None) == expected, (n, word)
+                assert enumerate_colorings(word, quandle) == expected, (n, word)
 
 
 @pytest.mark.parametrize("chunk", [5, 16, 30])
@@ -277,7 +355,9 @@ def test_packed_colorings_across_many_chunks(packed_only, monkeypatch, chunk):
     for quandle in (build_s4(), dihedral(3), column_permutations(rng, 5)):
         for _ in range(4):
             word = random_word(rng, rng.randint(3, 5), rng.randint(2, 8))
-            assert enumerate_colorings(word, quandle) == _scan_tuples(word, quandle, None), word
+            expected = _scan_tuples(word, quandle, None)
+            assert braid._scan_packed(word, quandle, None) == expected, word
+            assert enumerate_colorings(word, quandle) == expected, word
 
 
 def test_packed_colorings_at_full_chunk_size_match_affine(packed_only):
@@ -295,10 +375,13 @@ def test_packed_colorings_long_runs(packed_only):
     quandle = dihedral(5)
     for text in ("B3: s1^40 s2^-25 s1^-7", "B4: s3^12 s1^-33 s2^2 s3^-1", "B2: s1^-64"):
         word = parse_braid(text)
-        assert enumerate_colorings(word, quandle) == _scan_tuples(word, quandle, None), text
+        expected = _scan_tuples(word, quandle, None)
+        assert braid._scan_packed(word, quandle, None) == expected, text
+        assert enumerate_colorings(word, quandle) == expected, text
 
 
 def test_packed_colorings_empty_word(packed_only):
+    assert braid._scan_packed(BraidWord(3, ()), dihedral(5), None) == list(product(range(5), repeat=3))
     assert enumerate_colorings(BraidWord(3, ()), dihedral(5)) == list(product(range(5), repeat=3))
 
 
@@ -307,6 +390,7 @@ def test_colorings_fall_back_above_16_elements(monkeypatch):
         raise AssertionError("packed scan used on a 17-element quandle")
 
     monkeypatch.setattr(braid, "_scan_packed", refuse)
+    monkeypatch.setattr(braid, "_scan_states", refuse)
     spec = AlexanderQuandleSpec(17, (1, 1))  # T = -1: the dihedral quandle on Z_17
     quandle = build_alexander_quandle(spec)
     rng = random.Random(17)
@@ -321,6 +405,17 @@ def _affine_outcome(solver, word, spec, budget):
         return solver(word, spec, budget=budget)
     except BudgetExceededError as exc:
         return str(exc)
+
+
+@pytest.mark.parametrize("modulus", [4, 8, 9])
+def test_affine_matches_brute_over_composite_moduli(modulus):
+    # T + 1 is the dihedral quandle on Z_m; zero divisors of Z_m make the solve mod m nontrivial
+    spec = AlexanderQuandleSpec(modulus, (1, 1))
+    quandle = build_alexander_quandle(spec)
+    rng = random.Random(modulus)
+    for _ in range(15):
+        word = random_word(rng, rng.randint(2, 4), rng.randint(1, 6))
+        assert enumerate_colorings_affine(word, spec) == enumerate_colorings(word, quandle), word
 
 
 @pytest.mark.parametrize("modulus, degree", [(4, 2), (4, 3), (4, 4), (6, 2), (6, 3), (8, 2), (8, 3), (9, 2), (9, 3)])

@@ -1,5 +1,6 @@
 """State sum, free energy, crossing numbers, records, and the cache."""
 
+import gc
 import json
 import math
 import random
@@ -223,6 +224,7 @@ def test_packed_state_sum_matches_reference_for_group_orders_1_to_16(packed_only
             word = random_word(rng, strands, rng.randint(0, 7))
             z = cjkls_state_sum(word, quandle, cocycle)
             assert list(z.coeffs) == _reference_state_sum(word, cocycle), (order, n, word)
+            assert braid._scan_packed(word, quandle, cocycle) == list(z.coeffs), (order, n, word)
 
 
 def test_packed_state_sum_over_a_non_cyclic_group(packed_only):
@@ -265,12 +267,99 @@ def test_packed_state_sum_long_runs(packed_only):
     cocycle = Cocycle(quandle, group, _random_cocycle_table(rng, quandle, group))
     for text in ("B3: s1^40 s2^-25 s1^-7", "B4: s3^12 s1^-33 s2^2 s3^-1", "B2: s1^-64"):
         word = parse_braid(text)
-        assert list(cjkls_state_sum(word, quandle, cocycle).coeffs) == _reference_state_sum(word, cocycle), text
+        expected = _reference_state_sum(word, cocycle)
+        assert braid._scan_packed(word, quandle, cocycle) == expected, text
+        assert list(cjkls_state_sum(word, quandle, cocycle).coeffs) == expected, text
 
 
 def test_packed_state_sum_empty_word(packed_only):
+    assert braid._scan_packed(BraidWord(3, ()), build_s4(), build_s4_cocycle()) == [64, 0]
     z = cjkls_state_sum(BraidWord(3, ()), build_s4(), build_s4_cocycle())
     assert z.coeffs == (64, 0)
+
+
+# ------------------------------------------ byte-state scan against the oracle
+
+
+def _scan_case(seed, q, group):
+    rng = random.Random(seed)
+    quandle = _random_quandle(rng, q)
+    return rng, quandle, Cocycle(quandle, group, _random_cocycle_table(rng, quandle, group))
+
+
+def _assert_scans_agree(word, quandle, cocycle):
+    """Both byte scans equal the per-tuple oracle, with and without weights."""
+    expected = _reference_state_sum(word, cocycle)
+    assert braid._scan_states(word, quandle, cocycle) == expected, word
+    assert braid._scan_packed(word, quandle, cocycle) == expected, word
+    colorings = _scan_tuples(word, quandle, None)
+    assert braid._scan_states(word, quandle, None) == colorings, word
+    assert braid._scan_packed(word, quandle, None) == colorings, word
+
+
+@pytest.mark.parametrize("q, strands, order", [(4, 3, 4), (2, 7, 2), (16, 2, 1)])
+def test_byte_states_at_the_256_state_boundary(q, strands, order):
+    rng, quandle, cocycle = _scan_case(q * 100 + strands * 10 + order, q, build_cyclic_group(order))
+    for _ in range(4):
+        _assert_scans_agree(random_word(rng, strands, rng.randint(1, 8), longest=4), quandle, cocycle)
+
+
+@pytest.mark.parametrize(
+    "q, strands, order, path",
+    [
+        (4, 3, 4, "_scan_states"), (4, 3, 5, "_scan_packed"),
+        (2, 7, 2, "_scan_states"), (2, 7, 3, "_scan_packed"), (2, 8, 2, "_scan_packed"),
+        (16, 2, 1, "_scan_states"), (16, 2, 2, "_scan_packed"), (3, 5, 1, "_scan_states"), (3, 6, 1, "_scan_packed"),
+    ],
+)
+def test_scan_path_follows_the_state_count(monkeypatch, q, strands, order, path):
+    used = []
+    for name in ("_scan_states", "_scan_packed"):
+        original = getattr(braid, name)
+        monkeypatch.setattr(braid, name, lambda *args, name=name, original=original: used.append(name) or original(*args))
+    rng, quandle, cocycle = _scan_case(7, q, build_cyclic_group(order))
+    word = random_word(rng, strands, 5)
+    assert list(cjkls_state_sum(word, quandle, cocycle).coeffs) == _reference_state_sum(word, cocycle)
+    assert used == [path]
+
+
+def test_byte_states_over_a_non_cyclic_group():
+    rng, quandle, cocycle = _scan_case(12, 4, KLEIN)
+    for strands in (2, 3):
+        for _ in range(4):
+            _assert_scans_agree(random_word(rng, strands, 6), quandle, cocycle)
+
+
+def test_byte_states_empty_word():
+    _, quandle, cocycle = _scan_case(13, 5, build_cyclic_group(2))
+    _assert_scans_agree(BraidWord(3, ()), quandle, cocycle)
+    assert braid._scan_states(BraidWord(3, ()), quandle, cocycle) == [125, 0]
+
+
+def test_scans_leave_no_reference_cycles():
+    # the run-table memo of a scan is freed by reference counting, not left for the cyclic collector
+    q, c = build_s4(), build_s4_cocycle()
+    gc.collect()
+    gc.disable()
+    try:
+        for text in ("B3: s1^5 s2^-7 s1^3", "B4: s1^5 s2^-7 s3^3 s1"):  # byte-state and packed
+            cjkls_state_sum(parse_braid(text), q, c)
+            braid.enumerate_colorings(parse_braid(text), q)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 64, 65])
+def test_byte_states_compose_long_runs(k):
+    # runs of k are built by doubling: 64 = 2^6 and 65 = 2^6 + 1 take every branch
+    _, quandle, cocycle = _scan_case(k, 6, build_cyclic_group(7))  # 2 strands: 252 states
+    for text in (f"B2: s1^{k}", f"B2: s1^-{k}", f"B2: s1^{k} s1^-1 s1^3"):
+        _assert_scans_agree(parse_braid(text), quandle, cocycle)
+    for q, order in ((4, 4), (3, 9)):  # 256 and 243 states
+        _, quandle, cocycle = _scan_case(k, q, build_cyclic_group(order))
+        for text in (f"B3: s2^-{k} s1^{k} s2^{k}", f"B3: s1^{k} s2 s1^-{k} s2^-3"):
+            _assert_scans_agree(parse_braid(text), quandle, cocycle)
 
 
 def test_state_sum_falls_back_above_16(monkeypatch):
@@ -278,6 +367,7 @@ def test_state_sum_falls_back_above_16(monkeypatch):
         raise AssertionError("packed scan used beyond 16 elements")
 
     monkeypatch.setattr(braid, "_scan_packed", refuse)
+    monkeypatch.setattr(braid, "_scan_states", refuse)
     rng = random.Random(17)
     group = build_cyclic_group(17)
     for quandle, strands in ((build_s4(), 4), (build_alexander_quandle(AlexanderQuandleSpec(17, (1, 1))), 3)):
