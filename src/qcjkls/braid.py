@@ -38,6 +38,8 @@ DEFAULT_BUDGET = 4**12
 MAX_LETTERS = 10**6
 # Longest numeral (leading zeros dropped) parse_braid converts with int().
 _MAX_DIGITS = len(str(MAX_LETTERS))
+# Characters of a bad token that a syntax error quotes: at most 10 each in a repr.
+_QUOTE_CHARS = 12
 
 
 class BraidSyntaxError(ValueError):
@@ -94,7 +96,8 @@ def _read_token(token: str, declared: int | None, at: int) -> tuple[int, int]:
     """The (letter, count) run one token spells; raises BraidSyntaxError at position ``at``."""
     item = _ITEM.match(token)
     if not item:
-        raise BraidSyntaxError(f"expected s<i> or s<i>^<e>, got {token!r}", at)
+        more = "..." if len(token) > _QUOTE_CHARS else ""
+        raise BraidSyntaxError(f"expected s<i> or s<i>^<e>, got {token[:_QUOTE_CHARS]!r}{more}", at)
     index_digits, sign, exponent_digits = map(str.lstrip, item.groups(""), repeat("0"))
     if len(index_digits) > _MAX_DIGITS:
         raise BraidSyntaxError(f"generator index has more than {_MAX_DIGITS} digits", at)
@@ -196,6 +199,26 @@ _UNFIXED = bytes([0]) + bytes([0xF0]) * 255
 # Map a pair byte (x << 4) | y to its right lane y or its left lane x.
 _RIGHT = bytes(i & 15 for i in range(256))
 _LEFT = bytes(i >> 4 for i in range(256))
+# Swap the nibbles of a byte; the identity translate table.
+_SWAP_NIBBLES = bytes((i & 15) << 4 | i >> 4 for i in range(256))
+_IDENTITY = bytes(range(256))
+# Tuple-steps of the packed scan that cost about as much as mapping and sorting one
+# coloring, and as checking one right translation for the orbit plan.
+MAP_COST = 64
+ORBIT_COST = 2048
+
+
+def _nibble_table(rows) -> bytes:
+    """Translate table mapping byte (x << 4) | y to rows[x][y]; other bytes map to 0."""
+    table = bytearray(256)
+    for x, row in enumerate(rows):
+        table[x << 4 : (x << 4) + len(row)] = bytes(row)
+    return bytes(table)
+
+
+def _pack(high: bytes, low: bytes) -> bytes:
+    """Bytes (high[i] << 4) | low[i] of two equally long columns of nibbles."""
+    return (int.from_bytes(high, "little") << 4 | int.from_bytes(low, "little")).to_bytes(len(low), "little")
 
 
 def _column(q: int, block: int, size: int) -> int:
@@ -203,69 +226,141 @@ def _column(q: int, block: int, size: int) -> int:
     return int.from_bytes(b"".join(bytes([d]) * block for d in range(q)) * (size // (block * q)), "little")
 
 
-def _run_tables(quandle: QuandleTable, cocycle: Cocycle | None):
-    """Returns (gmul, run): gmul maps byte (w << 4) | x to the group product w * x.
+class ScanTables:
+    """The byte tables the scans read off one quandle and cocycle (or None).
 
-    run(sign, k) gives the (pair table, weight table) of k >= 1 letters
-    of that sign on one lane pair; they map a pair byte (x << 4) | y to
-    the pair the run leaves and to the run's weight.  Single letters come
-    from _run_word on the |X|^2 pairs, and the run of k composes the run
-    of k // 2 with itself, so it costs O(log k) compositions.  Bytes that
-    are no pair of colors map to themselves with the identity weight.
+    Build one per (quandle, cocycle) and pass it to every scan over that
+    pair.  ``gmul`` maps byte (w << 4) | x to the group product w * x,
+    and ``gmul_swapped`` maps (x << 4) | w to it.  ``run(sign, k)`` gives
+    the (pair table, weight table) of k >= 1 letters of that sign on one
+    lane pair; they map a pair byte (x << 4) | y to the pair the run
+    leaves and to the run's weight.  Single letters come from _run_word
+    on the |X|^2 pairs, and the run of k composes the run of k // 2 with
+    itself, so it costs O(log k) compositions; every run built is kept.
+    Bytes that are no pair of colors map to themselves with the identity
+    weight.  ``orbits`` is the packed scan's plan for lane 0 (see _scan).
+    Each table is built when first read, so building a ScanTables costs
+    nothing until a scan needs it.
     """
-    q = quandle.size
-    kwargs = _weight_args(cocycle)
-    identity = kwargs.get("identity", 0)
-    gmul = bytearray(256)
-    for w, row in enumerate(kwargs.get("gmul", ())):
-        gmul[w << 4 : (w << 4) + len(row)] = bytes(row)
-    tables = {}
-    for sign in (1, -1):
-        pairs, weights = bytearray(range(256)), bytearray([identity]) * 256
-        for x in range(q):
-            for y in range(q):
-                v = [x, y]
-                weights[x << 4 | y] = _run_word((sign,), quandle.op, quandle.inv_op, v, **kwargs)
-                pairs[x << 4 | y] = v[0] << 4 | v[1]
-        tables[sign, 1] = (bytes(pairs), bytes(weights))
 
-    def compose(first, then):
+    def __init__(self, quandle: QuandleTable, cocycle: Cocycle | None):
+        self.quandle, self.cocycle = quandle, cocycle
+        self.identity = cocycle.group.identity if cocycle is not None else 0
+
+    @cached_property
+    def gmul(self) -> bytes:
+        return _nibble_table(self.cocycle.group.mul if self.cocycle is not None else ())
+
+    @cached_property
+    def gmul_swapped(self) -> bytes:
+        return _SWAP_NIBBLES.translate(self.gmul)
+
+    @cached_property
+    def _runs(self) -> dict:
+        quandle, kwargs = self.quandle, _weight_args(self.cocycle)
+        runs = {}
+        for sign in (1, -1):
+            pairs, weights = bytearray(range(256)), bytearray([self.identity]) * 256
+            for x in range(quandle.size):
+                for y in range(quandle.size):
+                    v = [x, y]
+                    weights[x << 4 | y] = _run_word((sign,), quandle.op, quandle.inv_op, v, **kwargs)
+                    pairs[x << 4 | y] = v[0] << 4 | v[1]
+            runs[sign, 1] = (bytes(pairs), bytes(weights))
+        return runs
+
+    def _compose(self, first, then):
         (p1, w1), (p2, w2) = first, then
-        key = int.from_bytes(w1, "little") << 4 | int.from_bytes(p1.translate(w2), "little")
-        return p1.translate(p2), key.to_bytes(256, "little").translate(gmul)
+        return p1.translate(p2), _pack(w1, p1.translate(w2)).translate(self.gmul)
 
-    def run(sign: int, k: int):
-        halvings = []
-        while (sign, k) not in tables:
+    def run(self, sign: int, k: int):
+        runs, halvings = self._runs, []
+        while (sign, k) not in runs:
             halvings.append(k)
             k //= 2
         for k in reversed(halvings):
-            double = compose(tables[sign, k // 2], tables[sign, k // 2])
-            tables[sign, k] = compose(double, tables[sign, 1]) if k % 2 else double
-        return tables[sign, k]
+            double = self._compose(runs[sign, k // 2], runs[sign, k // 2])
+            runs[sign, k] = self._compose(double, runs[sign, 1]) if k % 2 else double
+        return runs[sign, k]
 
-    return bytes(gmul), run
+    @cached_property
+    def orbits(self) -> list[tuple[int, bytes]]:
+        """(representative, move) per color x, the least of x's orbit and a translate table taking it to x.
+
+        The orbits are those of the group generated by the right
+        translations R_a(x) = x*a that pass two checks on all x, y: R_a
+        is an automorphism, (x*y)*a = (x*a)*(y*a), and, with a cocycle,
+        phi(x*a, y*a) phi(x, a) = phi(x, y) phi(x*y, a).  R_a is a
+        bijection in every QuandleTable.  ``move`` composes such R_a, so
+        it passes both checks too.
+        """
+        quandle, cocycle, gmul = self.quandle, self.cocycle, self.gmul
+        q, op = quandle.size, quandle.op
+        # each check compares one byte per pair (x, y) of colors
+        pairs = bytes(x << 4 | y for x in range(q) for y in range(q))
+        xs, ys = pairs.translate(_LEFT), pairs.translate(_RIGHT)
+        star = _nibble_table(op)
+        products = pairs.translate(star)
+        if cocycle is not None:
+            phi = _nibble_table(cocycle.table)
+            weights = pairs.translate(phi)
+        moves = []
+        for a in range(q):
+            move = bytes(op[x][a] for x in range(q)) + _IDENTITY[q:]
+            moved = _pack(xs.translate(move), ys.translate(move))
+            if moved.translate(star) != products.translate(move):
+                continue
+            if cocycle is not None:
+                f = bytes(cocycle.table[x][a] for x in range(q)) + _IDENTITY[q:]
+                if _pack(moved.translate(phi), xs.translate(f)).translate(gmul) != _pack(weights, products.translate(f)).translate(gmul):
+                    continue
+            moves.append(move)
+        plan = [None] * q
+        for rep in range(q):
+            if plan[rep] is None:
+                plan[rep] = (rep, _IDENTITY)
+                reached = [rep]
+                for y in reached:
+                    for move in moves:
+                        if plan[move[y]] is None:
+                            plan[move[y]] = (rep, plan[y][1].translate(move))
+                            reached.append(move[y])
+        return plan
 
 
-def _compile_steps(runs, run, identity: int):
+def _compile_steps(runs, tables: ScanTables):
     """Packed-scan steps (left lane, kind, table, weight table), one per run.
 
     The table maps a pair byte (x << 4) | y of the two lanes to the new
     right lane (kind 1, one positive letter), the new left lane (kind -1,
-    one negative letter) or the output pair (kind 0, a longer run); the
-    weight table, None when always the identity, to the run's weight.
+    one negative letter) or the output pair (kind 0, a longer run; None
+    when the run fixes every pair).  The weight table is None when the
+    weight is always the identity.  A run's weight table maps the pair
+    byte to the run's weight.  A single letter's weight rides in the
+    high nibble of its table's output, so one translate gives both, and
+    its weight table is tables.gmul_swapped, which multiplies it in.
+    A run that fixes every pair with the identity weight is left out.
     """
     steps = []
     for letter, k in runs:
         sign = 1 if letter > 0 else -1
-        pairs, weights = run(sign, k)
+        pairs, weights = tables.run(sign, k)
+        if weights.count(tables.identity) == 256:
+            weights = None
         if k == 1:
             pairs = pairs.translate(_RIGHT if sign > 0 else _LEFT)
-        steps.append((abs(letter) - 1, 0 if k > 1 else sign, pairs, None if weights.count(identity) == 256 else weights))
+            if weights is not None:
+                pairs = _pack(weights, pairs)
+                weights = tables.gmul_swapped
+        elif pairs == _IDENTITY:
+            if weights is None:
+                continue
+            pairs = None
+        steps.append((abs(letter) - 1, 0 if k > 1 else sign, pairs, weights))
     return steps
 
 
-def _scan_states(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None):
+def _scan_states(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, tables: ScanTables | None = None):
     """The byte-state scan behind _scan; needs group order * q**s <= STATES_MAX.
 
     Byte w * q**s + i names the top tuple of lexicographic index i with
@@ -278,7 +373,8 @@ def _scan_states(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
     q, s = quandle.size, word.strands
     order, identity = (cocycle.group.order, cocycle.group.identity) if cocycle is not None else (1, 0)
     n, size = q**s, order * q**s
-    gmul, run = _run_tables(quandle, cocycle)
+    tables = tables or ScanTables(quandle, cocycle)
+    gmul, run = tables.gmul, tables.run
     times_n = (int.from_bytes(gmul, "little") * n).to_bytes(256, "little")
     index = int.from_bytes(bytes(range(n)) * order, "little")
     weight = _column(order, n, size) << 4
@@ -303,71 +399,116 @@ def _scan_states(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
     return [diff.count(0) for diff in diffs]
 
 
-def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None):
+def _step_chunk(steps, top, n: int, tables: ScanTables, weighted: bool):
+    """Push the n tuples whose top lanes are the columns ``top`` through the steps.
+
+    Returns (fixed, weight): ``fixed`` has a zero byte exactly where the
+    tuple closes up, i.e. every final lane equals its top lane, and the
+    weight column (0 when not ``weighted``) holds each tuple's group
+    index.  A step packs its two lanes into pair bytes with a shift and
+    an OR, and one bytes.translate looks up the step's table.  Weights
+    are multiplied in by a translate over the weight column and the
+    step's factors, packed into one byte each.
+    """
+    low = int.from_bytes(b"\x0f" * n, "little")
+    high = low << 4
+    lanes = top[:]
+    weight = int.from_bytes(bytes([tables.identity]) * n, "little") if weighted else 0
+    for a, kind, table, weights in steps:
+        left, right = lanes[a], lanes[a + 1]
+        pair = (left << 4 | right).to_bytes(n, "little")
+        if kind == 0:
+            if table is not None:
+                out = int.from_bytes(pair.translate(table), "little")
+                lanes[a], lanes[a + 1] = out >> 4 & low, out & low
+            if weights is not None:
+                factor = int.from_bytes(pair.translate(weights), "little")
+                weight = int.from_bytes((weight << 4 | factor).to_bytes(n, "little").translate(tables.gmul), "little")
+            continue
+        out = int.from_bytes(pair.translate(table), "little")
+        if weights is not None:
+            weight = int.from_bytes((out & high | weight).to_bytes(n, "little").translate(weights), "little")
+            out &= low
+        if kind > 0:
+            lanes[a], lanes[a + 1] = right, out
+        else:
+            lanes[a], lanes[a + 1] = out, left
+    diff = 0
+    for lane, start in zip(lanes, top):
+        diff |= lane ^ start
+    return diff.to_bytes(n, "little"), weight
+
+
+def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, tables: ScanTables | None = None):
     """The packed-column scan behind _scan; needs quandle and group sizes <= 16.
 
     Lane j of a chunk is an integer whose little-endian bytes hold lane
     j's color for every candidate tuple of the chunk, so one step moves
-    all of them: the two lanes are packed into pair bytes with a shift
-    and an OR, and bytes.translate looks up the step's table.  Weights
-    ride along in a column of group indices, multiplied in by the
-    translate table over (weight << 4) | step weight.  The leading lanes
-    are fixed per chunk and the trailing lanes run through all values,
-    so a chunk holds at most CHUNK_TUPLES tuples and chunks come in
-    lexicographic order.  A tuple closes up where every final lane
-    equals its top lane, i.e. at the zero bytes of the OR of their XORs.
+    all of them (_step_chunk).  The leading lanes are fixed per chunk and
+    the trailing lanes run through all values, so a chunk holds at most
+    CHUNK_TUPLES tuples and chunks come in lexicographic order.  Fixed
+    tuples are the zero bytes of the chunk's ``fixed``.
+
+    Given ``tables``, as _scan passes them, and a scan of more than
+    ORBIT_COST tuple-steps per color, lane 0 leads every chunk and is
+    scanned at one color per orbit of tables.orbits.  A state sum counts
+    a representative's block, its chunks, once per orbit member.  The
+    colorings of another member x are its representative's, mapped by
+    ``move`` and sorted, unless that block holds so many colorings that
+    mapping them would cost more than scanning (MAP_COST); then block x
+    is scanned too.  Otherwise every tuple is scanned.
     """
     q, s = quandle.size, word.strands
+    whole = tables is None
+    tables = tables or ScanTables(quandle, cocycle)
+    steps = _compile_steps(word.runs, tables)
+    plan = None if whole or q**s * len(steps) <= ORBIT_COST * q else tables.orbits
     trailing = 0
-    while trailing < s and q ** (trailing + 1) <= CHUNK_TUPLES:
+    while trailing < s - (plan is not None) and q ** (trailing + 1) <= CHUNK_TUPLES:
         trailing += 1
     n = q**trailing
-    gmul, run = _run_tables(quandle, cocycle)
-    identity = cocycle.group.identity if cocycle is not None else 0
-    steps = _compile_steps(word.runs, run, identity)
     weighted = any(step[3] is not None for step in steps)
-    unit = int.from_bytes(bytes([identity]) * n, "little")
+    lane0 = plan or [(0, None)]  # without a plan, one block holds every tuple
+    orbit_size = Counter(rep for rep, _ in lane0)
     constant = [int.from_bytes(bytes([d]) * n, "little") for d in range(q)]
-    low = int.from_bytes(b"\x0f" * n, "little")
     tops = [_column(q, q**p, n) for p in reversed(range(trailing))]
     # tuple index i of a chunk spells the trailing colors high + low
     low_tails = list(product(range(q), repeat=trailing // 2))
     high_tails = list(product(range(q), repeat=trailing - trailing // 2))
+    width = len(low_tails)
+    leading = [range(q)] * (s - trailing)
     coeffs = [0] * (cocycle.group.order if cocycle is not None else 1)
     found = []
-    for prefix in product(range(q), repeat=s - trailing):
-        top = [constant[d] for d in prefix] + tops
-        lanes = top[:]
-        weight = unit if weighted else 0
-        for a, kind, table, weights in steps:
-            left, right = lanes[a], lanes[a + 1]
-            pair = (left << 4 | right).to_bytes(n, "little")
-            out = int.from_bytes(pair.translate(table), "little")
-            if kind > 0:
-                lanes[a], lanes[a + 1] = right, out
-            elif kind < 0:
-                lanes[a], lanes[a + 1] = out, left
+    blocks = {}
+    for x, (rep, move) in enumerate(lane0):
+        if rep != x:
+            if cocycle is not None:
+                continue
+            start, stop = blocks[rep]
+            if (stop - start) * MAP_COST < q ** (s - 1) * len(steps):
+                moved = bytes(chain.from_iterable(found[start:stop])).translate(move)
+                found += sorted(zip(*[iter(moved)] * s))
+                continue
+        if plan is not None:
+            leading[0] = (x,)
+        start = len(found)
+        for prefix in product(*leading):
+            fixed, weight = _step_chunk(steps, [constant[d] for d in prefix] + tops, n, tables, weighted)
+            if cocycle is None:
+                # visit only the rows of len(low_tails) tuples that hold a coloring
+                index = fixed.find(0)
+                while index >= 0:
+                    row = index // width
+                    head = prefix + high_tails[row]
+                    found += map(head.__add__, compress(low_tails, map(not_, fixed[row * width : row * width + width])))
+                    index = fixed.find(0, row * width + width)
+            elif weighted:
+                keyed = (int.from_bytes(fixed.translate(_UNFIXED), "little") | weight).to_bytes(n, "little")
+                for g in range(len(coeffs)):
+                    coeffs[g] += keyed.count(g) * orbit_size[x]
             else:
-                lanes[a], lanes[a + 1] = out >> 4 & low, out & low
-            if weights is not None:
-                factor = int.from_bytes(pair.translate(weights), "little")
-                weight = int.from_bytes((weight << 4 | factor).to_bytes(n, "little").translate(gmul), "little")
-        diff = 0
-        for lane, start in zip(lanes, top):
-            diff |= lane ^ start
-        fixed = diff.to_bytes(n, "little")
-        if cocycle is None:
-            index = fixed.find(0)
-            while index >= 0:
-                high, low_index = divmod(index, len(low_tails))
-                found.append(prefix + high_tails[high] + low_tails[low_index])
-                index = fixed.find(0, index + 1)
-        elif weighted:
-            keyed = (int.from_bytes(fixed.translate(_UNFIXED), "little") | weight).to_bytes(n, "little")
-            for g in range(len(coeffs)):
-                coeffs[g] += keyed.count(g)
-        else:
-            coeffs[cocycle.group.identity] += fixed.count(0)
+                coeffs[cocycle.group.identity] += fixed.count(0) * orbit_size[x]
+        blocks[x] = (start, len(found))
     return found if cocycle is None else coeffs
 
 
@@ -387,7 +528,7 @@ def _scan_tuples(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
     return found if cocycle is None else coeffs
 
 
-def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, budget: int):
+def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, budget: int, tables: ScanTables | None = None):
     """One brute-force pass over all quandle_size ** strands top tuples.
 
     Raises BudgetExceededError, before any work, when that count exceeds
@@ -396,7 +537,29 @@ def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, budge
     list of the state sum over the cocycle's group.  A quandle and group
     of at most PACKED_MAX elements each take the byte-state path when
     their colored states fit STATES_MAX, else the packed-column path;
-    larger ones take the per-tuple path.
+    larger ones take the per-tuple path.  ``tables``, built here when
+    None, must be the ScanTables of this quandle and cocycle.
+
+    A large packed scan sweeps lane 0 at one color per orbit of
+    ScanTables.orbits (see _scan_packed).  That is exact.  For each
+    generator R = R_a:
+    - R acts on tuples lane by lane.  It is an automorphism, so it
+      commutes with both crossings: (x, y) -> (y, x*y) becomes
+      (Rx, Ry) -> (Ry, Rx*Ry), and likewise for the inverse operation.
+      So a tuple closes up exactly when its image does, and R maps the
+      colorings with lane-0 color x one to one onto those with R(x).
+    - The cocycle check says phi(Rx, Ry) = phi(x, y) f(x*y) / f(x), with
+      f = phi(., a).  A positive crossing's under-arc enters with x and
+      leaves with x*y.  A negative one weighs phi(z, x)^-1, where
+      z*x = y, and its under-arc enters with y and leaves with z, so R
+      multiplies it by f(z) / f(y).  Either way R multiplies a crossing's
+      weight by f(out) / f(in) of its under-arc.
+    - An arc keeps its color through over-crossings, so along a closed
+      strand each under-crossing's out is the next one's in, and in the
+      abelian group the factors cancel: R keeps every coloring's weight.
+    Compositions of generators keep both properties.  So the colorings
+    with lane-0 color x are those of x's orbit representative moved
+    over, with the same weights, and their state sum is the same.
     """
     q, s = quandle.size, word.strands
     # exact q ** s > budget: capping s at budget.bit_length() + 1 keeps the power small,
@@ -406,8 +569,12 @@ def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, budge
     order = cocycle.group.order if cocycle is not None else 1
     if q > PACKED_MAX or order > PACKED_MAX:
         return _scan_tuples(word, quandle, cocycle)
+    if tables is None:
+        tables = ScanTables(quandle, cocycle)
+    elif (tables.quandle, tables.cocycle) != (quandle, cocycle):
+        raise ValueError("scan tables were built for another quandle or cocycle")
     # likewise 2 ** 9 > STATES_MAX, so s capped at 9 decides the state count exactly
-    return (_scan_states if order * q ** min(s, 9) <= STATES_MAX else _scan_packed)(word, quandle, cocycle)
+    return (_scan_states if order * q ** min(s, 9) <= STATES_MAX else _scan_packed)(word, quandle, cocycle, tables)
 
 
 def enumerate_colorings(word: BraidWord, quandle: QuandleTable, budget: int = DEFAULT_BUDGET):

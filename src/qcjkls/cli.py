@@ -26,6 +26,7 @@ import sys
 from .braid import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    ScanTables,
     enumerate_colorings,
     enumerate_colorings_affine,
     parse_braid,
@@ -321,6 +322,7 @@ def _cmd_family(args) -> int:
     cocycle = build_s4_cocycle()
     quandle = cocycle.quandle
     cache = _resolve_cache(args)
+    tables = ScanTables(quandle, cocycle) if args.verify else None
 
     points = []
     failed = False
@@ -338,6 +340,7 @@ def _cmd_family(args) -> int:
                         cocycle,
                         budget=args.budget,
                         cache=cache,
+                        tables=tables,
                     )
                     check = "agree" if record.z.coeffs == point.closed_Z.coeffs else "differ"
                 except BudgetExceededError:

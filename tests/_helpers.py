@@ -31,8 +31,9 @@ def reference_parse_braid(text: str) -> BraidWord:
     patterns themselves: the oracle for parse_braid's results, messages
     and positions.  The 0* patterns backtrack quadratically on long runs
     of zeros, so inputs should keep those short.  MAX_LETTERS is read
-    from the braid module at each call, so a patched cap applies."""
-    max_letters, max_digits = braid.MAX_LETTERS, braid._MAX_DIGITS
+    from the braid module at each call, so a patched cap applies; a bad
+    token is quoted up to its first _QUOTE_CHARS characters."""
+    max_letters, max_digits, quoted = braid.MAX_LETTERS, braid._MAX_DIGITS, braid._QUOTE_CHARS
     prefix = _REFERENCE_PREFIX.match(text)
     declared = None
     start = 0
@@ -51,7 +52,9 @@ def reference_parse_braid(text: str) -> BraidWord:
         at = start + token.start()
         item = _REFERENCE_ITEM.match(token.group(0))
         if not item:
-            raise BraidSyntaxError(f"expected s<i> or s<i>^<e>, got {token.group(0)!r}", at)
+            bad = token.group(0)
+            shown = repr(bad) if len(bad) <= quoted else repr(bad[:quoted]) + "..."
+            raise BraidSyntaxError(f"expected s<i> or s<i>^<e>, got {shown}", at)
         index_digits, sign, exponent_digits = item.groups("")
         if len(index_digits) > max_digits:
             raise BraidSyntaxError(f"generator index has more than {max_digits} digits", at)

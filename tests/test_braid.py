@@ -140,6 +140,14 @@ def test_leading_zeros_do_not_count_as_digits():
         parse_braid("s" + "0" * 10**5)
 
 
+def test_syntax_errors_quote_the_same_bounded_prefix_as_the_reference():
+    for token in ("s1^2^3", "s1^2^345678901", "s1^2^3456789012", "\u00e9" * 40, "s\x1b" * 9, "B3:" * 5):
+        message, position = _parse_outcome(parse_braid, "B4: s1 " + token)
+        assert (message, position) == _parse_outcome(reference_parse_braid, "B4: s1 " + token), token
+        assert position == 7 and len(message) < 12 * 10 + 80, message
+        assert message.endswith("... (at position 7)") == (len(token) > braid._QUOTE_CHARS), message
+
+
 _SPACES = (" ", " ", " ", "  ", "\t", "\n ", "\u00a0", "\u2003", "\x1c", "\u3000", "\x85", "")
 _BAD_TOKENS = ("foo", "s", "s1^", "s^2", "x1", "S1", "s1^2^3", "s-1", "s1^--2", "B2:", "s1,", "s1^+", "s\u200b1")
 _PREFIXES = ("", "", "", "B3:", "B2: ", "B0003:", "B1:", "B0:", "B12345678:", "B000000009:", "  B4:", "B5", "B10:")

@@ -92,6 +92,15 @@ def test_huge_exponent_exits_2(capsys):
         assert "int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize("token", ["s" + "0" * 10**5 + "x", "s1" + "\U0010ffff" * 10**4, "x" * 10**6])
+def test_syntax_error_quotes_a_bounded_prefix(capsys, token):
+    # quoting the whole token would write 100,059 bytes of stderr for the first one
+    code, out, err = run(capsys, ["invariant", "B3: s1 s2^-1 " + token])
+    assert (code, out) == (2, "")
+    assert "expected s<i> or s<i>^<e>, got " in err and "..." in err and "at position 13" in err
+    assert len(err.encode("utf-8")) < 200, err
+
+
 def test_exponent_sum_over_cap_exits_2(capsys):
     code, out, err = run(capsys, ["invariant", "B3: s1^600000 s2 s1^-400000"])
     assert (code, out) == (2, "")

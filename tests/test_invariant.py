@@ -5,6 +5,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from _helpers import column_permutations, dihedral, propagate, random_word
@@ -374,6 +375,155 @@ def test_state_sum_falls_back_above_16(monkeypatch):
         cocycle = Cocycle(quandle, group, _random_cocycle_table(rng, quandle, group))
         word = random_word(rng, strands, 4)
         assert list(cjkls_state_sum(word, quandle, cocycle).coeffs) == _reference_state_sum(word, cocycle), word
+
+
+# ------------------------------------------------ orbit scan against the oracle
+# _scan scans lane 0 at one color per orbit of ScanTables.orbits; _scan_tuples,
+# the per-tuple loop, scans every tuple.
+
+
+@pytest.fixture
+def every_orbit_plan(monkeypatch):
+    """Scan by orbits however small the scan, so short words reach the orbit code."""
+    monkeypatch.setattr(braid, "ORBIT_COST", 0)
+
+
+def _coboundary(rng, quandle, group):
+    """phi(a, b) = f(a) f(a*b)^-1 for a random f: a cocycle of every quandle."""
+    f = [rng.randrange(group.order) for _ in range(quandle.size)]
+    inverse = group.inverse_table
+    return Cocycle(quandle, group, tuple(tuple(group.mul[f[a]][inverse[f[row[b]]]] for b in range(quandle.size)) for a, row in enumerate(quandle.op)))
+
+
+def _orbit_reps(quandle, cocycle):
+    return [rep for rep, _ in braid.ScanTables(quandle, cocycle).orbits]
+
+
+def _assert_orbit_scan_exact(rng, quandle, cocycles, strands, words=4):
+    """_scan equals the oracle with no cocycle and with each cocycle, on packed-path words."""
+    for _ in range(words):
+        word = random_word(rng, rng.choice(strands), rng.randint(1, 8), longest=rng.choice((1, 3)))
+        assert braid._scan(word, quandle, None, 10**9) == _scan_tuples(word, quandle, None), word
+        for cocycle in cocycles:
+            assert braid._scan(word, quandle, cocycle, 10**9) == _reference_state_sum(word, cocycle), word
+
+
+Z3_T2_MINUS_1 = AlexanderQuandleSpec(3, (-1, 0, 1))  # Z_3[T]/(T^2 - 1): not connected
+
+
+@pytest.mark.parametrize(
+    "name, reps",
+    [
+        ("s4", [0, 0, 0, 0]),
+        ("dihedral 3", [0, 0, 0]),
+        ("dihedral 5", [0] * 5),
+        ("dihedral 4", [0, 1, 0, 1]),
+        ("Z_3[T]/(T^2-1)", [0, 1, 2, 1, 2, 0, 2, 0, 1]),
+        ("trivial 3", [0, 1, 2]),
+    ],
+)
+def test_orbit_scan_matches_reference_on_quandles(packed_only, every_orbit_plan, name, reps):
+    quandle = {
+        "s4": build_s4(),
+        "dihedral 3": dihedral(3),
+        "dihedral 5": dihedral(5),
+        "dihedral 4": dihedral(4),
+        "Z_3[T]/(T^2-1)": build_alexander_quandle(Z3_T2_MINUS_1),
+        "trivial 3": make_quandle(((0, 0, 0), (1, 1, 1), (2, 2, 2))),
+    }[name]
+    rng = random.Random(name)
+    q = quandle.size
+    cocycles = [_coboundary(rng, quandle, build_cyclic_group(order)) for order in (2, 3, 4)]
+    cocycles.append(Cocycle(quandle, build_cyclic_group(3), _random_cocycle_table(rng, quandle, build_cyclic_group(3))))
+    assert _orbit_reps(quandle, None) == reps
+    assert all(_orbit_reps(quandle, cocycle) == reps for cocycle in cocycles[:3])
+    assert _orbit_reps(quandle, cocycles[3]) == list(range(q))  # no R_a keeps a random table's weights
+    _assert_orbit_scan_exact(rng, quandle, cocycles, [s for s in range(3, 8) if 256 < q**s <= 4096])
+
+
+def test_orbit_scan_with_the_standard_cocycle(packed_only, every_orbit_plan):
+    q, c = build_s4(), build_s4_cocycle()
+    assert _orbit_reps(q, c) == [0, 0, 0, 0]
+    _assert_orbit_scan_exact(random.Random(44), q, [c], [4, 5, 6], words=6)
+
+
+def test_orbit_scan_on_tables_that_are_no_quandles(packed_only, every_orbit_plan):
+    rng = random.Random(8)
+    for n in (3, 4, 5, 6):
+        quandle = column_permutations(rng, n)
+        group = build_cyclic_group(rng.randint(2, 5))
+        cocycles = [_coboundary(rng, quandle, group), Cocycle(quandle, group, _random_cocycle_table(rng, quandle, group))]
+        _assert_orbit_scan_exact(rng, quandle, cocycles, [s for s in range(3, 8) if 256 < n**s <= 4096])
+
+
+def test_orbit_scan_over_klein(packed_only, every_orbit_plan):
+    # the Klein group's identity is index 3, so every weight column starts at 3, not 0
+    rng = random.Random(4)
+    q = build_s4()
+    cocycles = [_coboundary(rng, q, KLEIN), Cocycle(q, KLEIN, _random_cocycle_table(rng, q, KLEIN))]
+    assert _orbit_reps(q, cocycles[0]) == [0, 0, 0, 0]
+    _assert_orbit_scan_exact(rng, q, cocycles, [5, 6], words=6)
+
+
+def _lane0_blocks(monkeypatch):
+    """Record (lane-0 color, tuple count) of every chunk the packed scan steps."""
+    seen = []
+    original = braid._step_chunk
+
+    def recorded(steps, top, n, *args):
+        seen.append((top[0] & 15, n))
+        return original(steps, top, n, *args)
+
+    monkeypatch.setattr(braid, "_step_chunk", recorded)
+    return seen
+
+
+def test_orbit_scan_steps_one_lane0_color_of_a_connected_quandle(monkeypatch):
+    seen = _lane0_blocks(monkeypatch)
+    q, c = build_s4(), build_s4_cocycle()
+    word = parse_braid("B8: s1 s2^-1 s3 s4^-1 s5 s6^-1 s7 s1^2 s4 s7^-2")
+    assert list(cjkls_state_sum(word, q, c).coeffs) == _reference_state_sum(word, c)
+    assert seen == [(0, 4**7)]
+    seen.clear()
+    assert braid.enumerate_colorings(word, q) == _scan_tuples(word, q, None)
+    assert seen == [(0, 4**7)]  # few colorings: the other lane-0 colors are mapped
+    seen.clear()
+    assert braid._scan_packed(word, q, c) == _reference_state_sum(word, c)
+    assert seen == [(0, 4**8)]  # called directly, it scans every tuple in one chunk
+
+
+def test_small_scans_skip_the_orbit_plan(monkeypatch):
+    # 4^4 tuples x 6 steps are fewer tuple-steps than the plan costs (ORBIT_COST per color)
+    seen = _lane0_blocks(monkeypatch)
+    q, c = build_s4(), build_s4_cocycle()
+    word = parse_braid("B4: s1 s2^-1 s3 s1 s2^-1 s3")
+    assert list(cjkls_state_sum(word, q, c).coeffs) == _reference_state_sum(word, c)
+    assert seen == [(0, 4**4)] and 4**4 * 6 <= braid.ORBIT_COST * 4
+
+
+def test_dense_colorings_are_scanned_not_mapped(monkeypatch):
+    # sigma^3 fixes every pair over S4: every tuple colors, so mapping would cost more than scanning
+    seen = _lane0_blocks(monkeypatch)
+    q = build_s4()
+    word = parse_braid("B7: s1^3 s2^-3 s3^3 s4^-3 s5^3 s6^-3 s1 s1^-1")
+    assert braid.enumerate_colorings(word, q) == _scan_tuples(word, q, None) == list(product(range(4), repeat=7))
+    assert [x for x, _ in seen] == [0, 1, 2, 3]
+    seen.clear()
+    sparse = parse_braid("B7: s1^3 s2^-3 s3^3 s4^-3 s5^3 s6^-3 s1 s2 s1 s4 s5 s4")
+    colorings = braid.enumerate_colorings(sparse, q)
+    assert colorings == _scan_tuples(sparse, q, None) and len(colorings) == 64
+    assert [x for x, _ in seen] == [0]
+
+
+def test_scan_tables_are_checked_against_their_inputs():
+    q, c = build_s4(), build_s4_cocycle()
+    tables = braid.ScanTables(q, c)
+    word = parse_braid("B4: s1 s2^-1 s3 s1")
+    assert cjkls_state_sum(word, q, c, tables=tables) == cjkls_state_sum(word, q, c)
+    with pytest.raises(ValueError, match="another quandle or cocycle"):
+        cjkls_state_sum(word, q, build_trivial_cocycle(q, build_cyclic_group(2)), tables=tables)
+    with pytest.raises(ValueError, match="another quandle or cocycle"):
+        braid._scan(word, q, None, braid.DEFAULT_BUDGET, tables)
 
 
 # ---------------------------------------------------------- cache robustness
