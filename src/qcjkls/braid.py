@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, compress, product, repeat, starmap
 from math import gcd
 from operator import itemgetter, ne, not_, sub
@@ -202,10 +202,8 @@ _LEFT = bytes(i >> 4 for i in range(256))
 # Swap the nibbles of a byte; the identity translate table.
 _SWAP_NIBBLES = bytes((i & 15) << 4 | i >> 4 for i in range(256))
 _IDENTITY = bytes(range(256))
-# Tuple-steps of the packed scan that cost about as much as mapping and sorting one
-# coloring, and as checking one right translation for the orbit plan.
+# Tuple-steps of the packed scan that cost about as much as mapping and sorting one coloring.
 MAP_COST = 64
-ORBIT_COST = 2048
 
 
 def _nibble_table(rows) -> bytes:
@@ -229,18 +227,11 @@ def _column(q: int, block: int, size: int) -> int:
 class ScanTables:
     """The byte tables the scans read off one quandle and cocycle (or None).
 
-    Build one per (quandle, cocycle) and pass it to every scan over that
-    pair.  ``gmul`` maps byte (w << 4) | x to the group product w * x,
-    and ``gmul_swapped`` maps (x << 4) | w to it.  ``run(sign, k)`` gives
-    the (pair table, weight table) of k >= 1 letters of that sign on one
-    lane pair; they map a pair byte (x << 4) | y to the pair the run
-    leaves and to the run's weight.  Single letters come from _run_word
-    on the |X|^2 pairs, and the run of k composes the run of k // 2 with
-    itself, so it costs O(log k) compositions; every run built is kept.
-    Bytes that are no pair of colors map to themselves with the identity
-    weight.  ``orbits`` is the packed scan's plan for lane 0 (see _scan).
-    Each table is built when first read, so building a ScanTables costs
-    nothing until a scan needs it.
+    ``gmul`` maps byte (w << 4) | x to the group product w * x, and
+    ``gmul_swapped`` maps (x << 4) | w to it.  ``orbits`` is the packed
+    scan's plan for lane 0 (see _scan).  Each table is built when first
+    read.  The scans get their tables from _scan_tables and their runs
+    of letters from _run.
     """
 
     def __init__(self, quandle: QuandleTable, cocycle: Cocycle | None):
@@ -254,34 +245,6 @@ class ScanTables:
     @cached_property
     def gmul_swapped(self) -> bytes:
         return _SWAP_NIBBLES.translate(self.gmul)
-
-    @cached_property
-    def _runs(self) -> dict:
-        quandle, kwargs = self.quandle, _weight_args(self.cocycle)
-        runs = {}
-        for sign in (1, -1):
-            pairs, weights = bytearray(range(256)), bytearray([self.identity]) * 256
-            for x in range(quandle.size):
-                for y in range(quandle.size):
-                    v = [x, y]
-                    weights[x << 4 | y] = _run_word((sign,), quandle.op, quandle.inv_op, v, **kwargs)
-                    pairs[x << 4 | y] = v[0] << 4 | v[1]
-            runs[sign, 1] = (bytes(pairs), bytes(weights))
-        return runs
-
-    def _compose(self, first, then):
-        (p1, w1), (p2, w2) = first, then
-        return p1.translate(p2), _pack(w1, p1.translate(w2)).translate(self.gmul)
-
-    def run(self, sign: int, k: int):
-        runs, halvings = self._runs, []
-        while (sign, k) not in runs:
-            halvings.append(k)
-            k //= 2
-        for k in reversed(halvings):
-            double = self._compose(runs[sign, k // 2], runs[sign, k // 2])
-            runs[sign, k] = self._compose(double, runs[sign, 1]) if k % 2 else double
-        return runs[sign, k]
 
     @cached_property
     def orbits(self) -> list[tuple[int, bytes]]:
@@ -328,6 +291,39 @@ class ScanTables:
         return plan
 
 
+# _scan_tables(quandle, cocycle): the ScanTables of the most recently scanned pairs.  The
+# key is the pair's value, so a quandle and cocycle loaded from files share the tables of
+# an equal built-in pair; only pairs of at most PACKED_MAX elements reach it.
+_scan_tables = lru_cache(ScanTables)
+
+
+@lru_cache
+def _run(tables: ScanTables, sign: int, k: int) -> tuple[bytes, bytes]:
+    """The (pair table, weight table) of k >= 1 letters of one sign on one lane pair.
+
+    They map a pair byte (x << 4) | y to the pair the run leaves and to
+    the run's weight; bytes that are no pair of colors map to themselves
+    with the identity weight.  A single letter comes from _run_word on
+    the |X|^2 pairs, and the run of k composes the run of k // 2 with
+    itself (and one letter more for odd k), so it costs O(log k)
+    compositions.  The memo keeps the most recently used runs, so many
+    distinct exponents stay bounded.
+    """
+    if k == 1:
+        quandle, kwargs = tables.quandle, _weight_args(tables.cocycle)
+        pairs, weights = bytearray(range(256)), bytearray([tables.identity]) * 256
+        for x in range(quandle.size):
+            for y in range(quandle.size):
+                v = [x, y]
+                weights[x << 4 | y] = _run_word((sign,), quandle.op, quandle.inv_op, v, **kwargs)
+                pairs[x << 4 | y] = v[0] << 4 | v[1]
+        return bytes(pairs), bytes(weights)
+    pairs, weights = half = _run(tables, sign, k // 2)
+    for then_pairs, then_weights in [half] + [_run(tables, sign, 1)] * (k % 2):
+        pairs, weights = pairs.translate(then_pairs), _pack(weights, pairs.translate(then_weights)).translate(tables.gmul)
+    return pairs, weights
+
+
 def _compile_steps(runs, tables: ScanTables):
     """Packed-scan steps (left lane, kind, table, weight table), one per run.
 
@@ -344,7 +340,7 @@ def _compile_steps(runs, tables: ScanTables):
     steps = []
     for letter, k in runs:
         sign = 1 if letter > 0 else -1
-        pairs, weights = tables.run(sign, k)
+        pairs, weights = _run(tables, sign, k)
         if weights.count(tables.identity) == 256:
             weights = None
         if k == 1:
@@ -360,7 +356,7 @@ def _compile_steps(runs, tables: ScanTables):
     return steps
 
 
-def _scan_states(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, tables: ScanTables | None = None):
+def _scan_states(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None):
     """The byte-state scan behind _scan; needs group order * q**s <= STATES_MAX.
 
     Byte w * q**s + i names the top tuple of lexicographic index i with
@@ -373,26 +369,25 @@ def _scan_states(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
     q, s = quandle.size, word.strands
     order, identity = (cocycle.group.order, cocycle.group.identity) if cocycle is not None else (1, 0)
     n, size = q**s, order * q**s
-    tables = tables or ScanTables(quandle, cocycle)
-    gmul, run = tables.gmul, tables.run
-    times_n = (int.from_bytes(gmul, "little") * n).to_bytes(256, "little")
+    tables = _scan_tables(quandle, cocycle)
+    times_n = (int.from_bytes(tables.gmul, "little") * n).to_bytes(256, "little")
     index = int.from_bytes(bytes(range(n)) * order, "little")
     weight = _column(order, n, size) << 4
     low = int.from_bytes(b"\x0f" * size, "little")
     digits = [_column(q, q ** (s - 1 - j), size) for j in range(s)]
-    tables = {}
+    steps = {}
     for letter, k in set(word.runs):
         a = abs(letter) - 1
         hi, lo, x, y = q ** (s - 1 - a), q ** (s - 2 - a), digits[a], digits[a + 1]
         pairs = (x << 4 | y).to_bytes(size, "little")
-        moves, weights = run(1 if letter > 0 else -1, k)
+        moves, weights = _run(tables, 1 if letter > 0 else -1, k)
         moved = int.from_bytes(pairs.translate(moves), "little")
         key = (weight | int.from_bytes(pairs.translate(weights), "little")).to_bytes(size, "little")
         # each byte stays in [0, size), so no sum or difference carries between bytes
         state = int.from_bytes(key.translate(times_n), "little") + index - x * hi - y * lo
-        tables[letter, k] = (state + (moved >> 4 & low) * hi + (moved & low) * lo).to_bytes(256, "little")
+        steps[letter, k] = (state + (moved >> 4 & low) * hi + (moved & low) * lo).to_bytes(256, "little")
     start = bytes(range(identity * n, identity * n + n))
-    final = int.from_bytes(reduce(bytes.translate, map(tables.__getitem__, word.runs), start), "little")
+    final = int.from_bytes(reduce(bytes.translate, map(steps.__getitem__, word.runs), start), "little")
     diffs = [(final ^ int.from_bytes(bytes(range(g * n, g * n + n)), "little")).to_bytes(n, "little") for g in range(order)]
     if cocycle is None:
         return list(compress(product(range(q), repeat=s), map(not_, diffs[0])))
@@ -439,48 +434,44 @@ def _step_chunk(steps, top, n: int, tables: ScanTables, weighted: bool):
     return diff.to_bytes(n, "little"), weight
 
 
-def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, tables: ScanTables | None = None):
+def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None):
     """The packed-column scan behind _scan; needs quandle and group sizes <= 16.
 
     Lane j of a chunk is an integer whose little-endian bytes hold lane
     j's color for every candidate tuple of the chunk, so one step moves
-    all of them (_step_chunk).  The leading lanes are fixed per chunk and
-    the trailing lanes run through all values, so a chunk holds at most
-    CHUNK_TUPLES tuples and chunks come in lexicographic order.  Fixed
-    tuples are the zero bytes of the chunk's ``fixed``.
+    all of them (_step_chunk).  Lane 0 and the other leading lanes are
+    fixed per chunk and the trailing lanes run through all values, so a
+    chunk holds at most CHUNK_TUPLES tuples and chunks come in
+    lexicographic order.  Fixed tuples are the zero bytes of the chunk's
+    ``fixed``.
 
-    Given ``tables``, as _scan passes them, and a scan of more than
-    ORBIT_COST tuple-steps per color, lane 0 leads every chunk and is
-    scanned at one color per orbit of tables.orbits.  A state sum counts
-    a representative's block, its chunks, once per orbit member.  The
-    colorings of another member x are its representative's, mapped by
-    ``move`` and sorted, unless that block holds so many colorings that
-    mapping them would cost more than scanning (MAP_COST); then block x
-    is scanned too.  Otherwise every tuple is scanned.
+    Lane 0 is scanned at one color per orbit of ScanTables.orbits.  A
+    state sum counts a representative's block, its chunks, once per
+    orbit member.  The colorings of another member x are its
+    representative's, mapped by ``move`` and sorted, unless that block
+    holds so many colorings that mapping them would cost more than
+    scanning (MAP_COST); then block x is scanned too.
     """
     q, s = quandle.size, word.strands
-    whole = tables is None
-    tables = tables or ScanTables(quandle, cocycle)
+    tables = _scan_tables(quandle, cocycle)
     steps = _compile_steps(word.runs, tables)
-    plan = None if whole or q**s * len(steps) <= ORBIT_COST * q else tables.orbits
     trailing = 0
-    while trailing < s - (plan is not None) and q ** (trailing + 1) <= CHUNK_TUPLES:
+    while trailing < s - 1 and q ** (trailing + 1) <= CHUNK_TUPLES:
         trailing += 1
     n = q**trailing
     weighted = any(step[3] is not None for step in steps)
-    lane0 = plan or [(0, None)]  # without a plan, one block holds every tuple
-    orbit_size = Counter(rep for rep, _ in lane0)
+    orbit_size = Counter(rep for rep, _ in tables.orbits)
     constant = [int.from_bytes(bytes([d]) * n, "little") for d in range(q)]
     tops = [_column(q, q**p, n) for p in reversed(range(trailing))]
     # tuple index i of a chunk spells the trailing colors high + low
     low_tails = list(product(range(q), repeat=trailing // 2))
     high_tails = list(product(range(q), repeat=trailing - trailing // 2))
     width = len(low_tails)
-    leading = [range(q)] * (s - trailing)
+    leading = [range(q)] * (s - 1 - trailing)
     coeffs = [0] * (cocycle.group.order if cocycle is not None else 1)
     found = []
     blocks = {}
-    for x, (rep, move) in enumerate(lane0):
+    for x, (rep, move) in enumerate(tables.orbits):
         if rep != x:
             if cocycle is not None:
                 continue
@@ -489,10 +480,8 @@ def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
                 moved = bytes(chain.from_iterable(found[start:stop])).translate(move)
                 found += sorted(zip(*[iter(moved)] * s))
                 continue
-        if plan is not None:
-            leading[0] = (x,)
         start = len(found)
-        for prefix in product(*leading):
+        for prefix in product((x,), *leading):
             fixed, weight = _step_chunk(steps, [constant[d] for d in prefix] + tops, n, tables, weighted)
             if cocycle is None:
                 # visit only the rows of len(low_tails) tuples that hold a coloring
@@ -528,7 +517,7 @@ def _scan_tuples(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
     return found if cocycle is None else coeffs
 
 
-def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, budget: int, tables: ScanTables | None = None):
+def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, budget: int):
     """One brute-force pass over all quandle_size ** strands top tuples.
 
     Raises BudgetExceededError, before any work, when that count exceeds
@@ -537,10 +526,9 @@ def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, budge
     list of the state sum over the cocycle's group.  A quandle and group
     of at most PACKED_MAX elements each take the byte-state path when
     their colored states fit STATES_MAX, else the packed-column path;
-    larger ones take the per-tuple path.  ``tables``, built here when
-    None, must be the ScanTables of this quandle and cocycle.
+    larger ones take the per-tuple path.
 
-    A large packed scan sweeps lane 0 at one color per orbit of
+    The packed scan sweeps lane 0 at one color per orbit of
     ScanTables.orbits (see _scan_packed).  That is exact.  For each
     generator R = R_a:
     - R acts on tuples lane by lane.  It is an automorphism, so it
@@ -569,12 +557,8 @@ def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, budge
     order = cocycle.group.order if cocycle is not None else 1
     if q > PACKED_MAX or order > PACKED_MAX:
         return _scan_tuples(word, quandle, cocycle)
-    if tables is None:
-        tables = ScanTables(quandle, cocycle)
-    elif (tables.quandle, tables.cocycle) != (quandle, cocycle):
-        raise ValueError("scan tables were built for another quandle or cocycle")
     # likewise 2 ** 9 > STATES_MAX, so s capped at 9 decides the state count exactly
-    return (_scan_states if order * q ** min(s, 9) <= STATES_MAX else _scan_packed)(word, quandle, cocycle, tables)
+    return (_scan_states if order * q ** min(s, 9) <= STATES_MAX else _scan_packed)(word, quandle, cocycle)
 
 
 def enumerate_colorings(word: BraidWord, quandle: QuandleTable, budget: int = DEFAULT_BUDGET):

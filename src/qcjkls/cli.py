@@ -26,7 +26,6 @@ import sys
 from .braid import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    ScanTables,
     enumerate_colorings,
     enumerate_colorings_affine,
     parse_braid,
@@ -256,6 +255,9 @@ def _cmd_colorings(args) -> int:
     if args.mod is not None and not args.poly:
         print("error: --mod needs --poly", file=sys.stderr)
         return 2
+    if args.quandle and (args.mod is not None or args.poly):
+        print("error: --quandle and --mod/--poly name two different quandles; give one", file=sys.stderr)
+        return 2
     if args.affine:
         if args.quandle:
             print("error: --affine needs an Alexander presentation (--mod/--poly or the default)", file=sys.stderr)
@@ -322,7 +324,6 @@ def _cmd_family(args) -> int:
     cocycle = build_s4_cocycle()
     quandle = cocycle.quandle
     cache = _resolve_cache(args)
-    tables = ScanTables(quandle, cocycle) if args.verify else None
 
     points = []
     failed = False
@@ -340,7 +341,6 @@ def _cmd_family(args) -> int:
                         cocycle,
                         budget=args.budget,
                         cache=cache,
-                        tables=tables,
                     )
                     check = "agree" if record.z.coeffs == point.closed_Z.coeffs else "differ"
                 except BudgetExceededError:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
-from .braid import BraidWord, DEFAULT_BUDGET, ScanTables, _scan, is_alternating_closure, is_reduced_closure
+from .braid import BraidWord, DEFAULT_BUDGET, _scan, is_alternating_closure, is_reduced_closure
 from .cocycle import Cocycle, CocycleError
 from .group_algebra import GroupAlgebraElement, element_from_json, group_from_labels
 from .quandle import QuandleTable
@@ -32,7 +32,6 @@ def cjkls_state_sum(
     quandle: QuandleTable,
     cocycle: Cocycle,
     budget: int = DEFAULT_BUDGET,
-    tables: ScanTables | None = None,
 ) -> GroupAlgebraElement:
     """Exact state sum of the braid closure over all colorings.
 
@@ -40,13 +39,11 @@ def cjkls_state_sum(
     ``budget``) and accumulates the crossing-weight product of each
     closure coloring.  The coefficient sum of the result equals the
     number of colorings, so it is at least quandle_size (constant
-    colorings always close up with identity weight).  ``tables``, the
-    ScanTables of this quandle and cocycle, saves rebuilding them when
-    many words are summed.
+    colorings always close up with identity weight).
     """
     if cocycle.quandle.op != quandle.op:
         raise CocycleError("cocycle is defined over a different quandle")
-    return GroupAlgebraElement(cocycle.group, tuple(_scan(word, quandle, cocycle, budget, tables)))
+    return GroupAlgebraElement(cocycle.group, tuple(_scan(word, quandle, cocycle, budget)))
 
 
 def free_energy(z: GroupAlgebraElement) -> tuple[float, ...]:
@@ -240,7 +237,6 @@ def compute_invariant(
     budget: int = DEFAULT_BUDGET,
     assume_crossing_number: int | None = None,
     cache: InvariantCache | None = None,
-    tables: ScanTables | None = None,
 ) -> InvariantRecord:
     """Full record for one braid: Z, coloring count, crossing number, f.
 
@@ -253,8 +249,7 @@ def compute_invariant(
     the new record appended, which supersedes it.  An
     ``assume_crossing_number`` (at least 1) then replaces the crossing
     number of the returned record, and f with it.  A cocycle whose group
-    is not the cyclic one on its labels bypasses the cache.  ``tables``
-    goes to cjkls_state_sum.
+    is not the cyclic one on its labels bypasses the cache.
     """
     if assume_crossing_number is not None and assume_crossing_number < 1:
         raise ValueError(f"assumed crossing number must be >= 1, got {assume_crossing_number}")
@@ -267,7 +262,7 @@ def compute_invariant(
     if record is not None and not _fits(record, word, cocycle):
         record = None
     if record is None:
-        z = cjkls_state_sum(word, quandle, cocycle, budget=budget, tables=tables)
+        z = cjkls_state_sum(word, quandle, cocycle, budget=budget)
         crossing_number = _derived_crossing_number(word)
         record = InvariantRecord(
             braid=braid,

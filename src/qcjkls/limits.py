@@ -83,6 +83,13 @@ class LimitReport:
         }
 
 
+def _check_tolerance(tolerance: float) -> None:
+    # NaN fails every comparison: a "tolerance <= 0" check passes it, and then no tail
+    # converges and every pair of limits overlaps
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+
+
 def limit_estimate(
     samples,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -94,8 +101,8 @@ def limit_estimate(
     ``samples`` is a list of (n, point) with strictly increasing n and
     at least 3 entries.  The tail is the last third (never fewer than
     two samples).  Converged means every tail pair lies within
-    ``tolerance``; the estimate is then the final sample, otherwise the
-    tail bounding box.
+    ``tolerance``, which must be finite and positive; the estimate is
+    then the final sample, otherwise the tail bounding box.
     """
     samples = [(int(n), tuple(float(x) for x in point)) for n, point in samples]
     if len(samples) < 3:
@@ -105,8 +112,7 @@ def limit_estimate(
     dims = {len(point) for _, point in samples}
     if len(dims) != 1:
         raise ValueError("samples have inconsistent dimensions")
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    _check_tolerance(tolerance)
 
     tail_len = max(2, math.ceil(len(samples) / 3))
     tail = [point for _, point in samples[-tail_len:]]
@@ -153,9 +159,10 @@ def distinguish_limits(reports, tolerance: float = DEFAULT_TOLERANCE):
     """Pairwise separation matrix over report estimates.
 
     Entry (i, j) is "DISTINCT" when the two estimates (points or boxes)
-    are separated by more than ``tolerance``, else "OVERLAPPING".  The
-    matrix is symmetric with an OVERLAPPING diagonal.
+    are separated by more than ``tolerance`` (finite and positive), else
+    "OVERLAPPING".  The matrix is symmetric with an OVERLAPPING diagonal.
     """
+    _check_tolerance(tolerance)
     regions = [report.estimate for report in reports]
     size = len(regions)
     matrix = [["OVERLAPPING"] * size for _ in range(size)]

@@ -230,10 +230,6 @@ class FamilyPoint:
     closed_c: int
     closed_f: tuple[float, float]
 
-    def canonical(self) -> str:
-        """family_braid(...).canonical(), sliced from ladders: adjacent blocks never merge."""
-        return family_texts(self.family, self.n, self.n)[0]
-
     @cached_property
     def braid(self) -> BraidWord:
         return family_braid(self.family, self.n)

@@ -166,6 +166,15 @@ def test_colorings_alexander_options(capsys):
     assert "--poly" in err
 
 
+def test_colorings_refuses_a_quandle_file_next_to_alexander_options(capsys, tmp_path):
+    path = tmp_path / "s4.json"
+    save_quandle(build_s4(), path)
+    for extra in (["--mod", "5", "--poly", "T+3"], ["--poly", "T+3"]):
+        code, out, err = run(capsys, ["colorings", "s1^3", "--quandle", str(path), *extra])
+        assert (code, out) == (2, ""), extra
+        assert "--quandle" in err and "--mod/--poly" in err, extra
+
+
 def test_quandle_build_pretty(capsys):
     code, out, err = run(capsys, ["quandle", "build", "s4"])
     assert code == 0
@@ -305,7 +314,7 @@ def test_family_json_texts_match_the_per_point_path(capsys):
     assert [p["n"] for p in points] == list(range(1, 51))
     for p in points:
         n = p["n"]
-        assert p["braid"] == sequences.family_point(family, n).canonical(), n
+        assert p["braid"] == sequences.family_texts(family, n, n)[0], n
         assert p["braid"] == reference_family_braid(family, n).canonical(), n
 
 
@@ -417,6 +426,15 @@ def test_csv_format_is_a_usage_error_without_a_csv_output(capsys, argv):
     err = capsys.readouterr().err
     assert "--format" in err
     assert "invalid choice: 'csv'" in err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0"])
+@pytest.mark.parametrize("command", [["limits", "--families", "Kn,K0"], ["family", "Kn"]])
+def test_tolerance_must_be_finite_and_positive(capsys, command, tolerance):
+    # Kn and K0 (limits 0.231 and 0) must not be reported OVERLAPPING under a NaN tolerance
+    code, out, err = run(capsys, command + ["--n", "1..30", "--tolerance", tolerance])
+    assert (code, out) == (2, "")
+    assert "finite and positive" in err and "Traceback" not in err
 
 
 def test_limits_needs_enough_samples(capsys):

@@ -12,7 +12,8 @@ from _helpers import column_permutations, dihedral, propagate, random_word
 
 from qcjkls import braid, invariant
 from qcjkls.braid import BraidWord, _scan_tuples, enumerate_colorings_affine, parse_braid
-from qcjkls.cocycle import Cocycle, CocycleError, build_s4_cocycle, build_trivial_cocycle
+from qcjkls.cli import main
+from qcjkls.cocycle import Cocycle, CocycleError, build_s4_cocycle, build_trivial_cocycle, load_cocycle, save_cocycle
 from qcjkls.group_algebra import AbelianGroup, GroupAlgebraElement, build_cyclic_group
 from qcjkls.invariant import (
     InvariantCache,
@@ -25,7 +26,15 @@ from qcjkls.invariant import (
     free_energy_per_crossing,
     record_from_json,
 )
-from qcjkls.quandle import S4_SPEC, AlexanderQuandleSpec, build_alexander_quandle, build_s4, make_quandle
+from qcjkls.quandle import (
+    S4_SPEC,
+    AlexanderQuandleSpec,
+    build_alexander_quandle,
+    build_s4,
+    load_quandle,
+    make_quandle,
+    save_quandle,
+)
 
 TREFOIL = parse_braid("B2: s1^3")
 F_TREFOIL = (2 * math.log(2) / 3, (2 * math.log(2) + math.log(3)) / 3)
@@ -382,12 +391,6 @@ def test_state_sum_falls_back_above_16(monkeypatch):
 # the per-tuple loop, scans every tuple.
 
 
-@pytest.fixture
-def every_orbit_plan(monkeypatch):
-    """Scan by orbits however small the scan, so short words reach the orbit code."""
-    monkeypatch.setattr(braid, "ORBIT_COST", 0)
-
-
 def _coboundary(rng, quandle, group):
     """phi(a, b) = f(a) f(a*b)^-1 for a random f: a cocycle of every quandle."""
     f = [rng.randrange(group.order) for _ in range(quandle.size)]
@@ -422,7 +425,7 @@ Z3_T2_MINUS_1 = AlexanderQuandleSpec(3, (-1, 0, 1))  # Z_3[T]/(T^2 - 1): not con
         ("trivial 3", [0, 1, 2]),
     ],
 )
-def test_orbit_scan_matches_reference_on_quandles(packed_only, every_orbit_plan, name, reps):
+def test_orbit_scan_matches_reference_on_quandles(packed_only, name, reps):
     quandle = {
         "s4": build_s4(),
         "dihedral 3": dihedral(3),
@@ -441,13 +444,13 @@ def test_orbit_scan_matches_reference_on_quandles(packed_only, every_orbit_plan,
     _assert_orbit_scan_exact(rng, quandle, cocycles, [s for s in range(3, 8) if 256 < q**s <= 4096])
 
 
-def test_orbit_scan_with_the_standard_cocycle(packed_only, every_orbit_plan):
+def test_orbit_scan_with_the_standard_cocycle(packed_only):
     q, c = build_s4(), build_s4_cocycle()
     assert _orbit_reps(q, c) == [0, 0, 0, 0]
     _assert_orbit_scan_exact(random.Random(44), q, [c], [4, 5, 6], words=6)
 
 
-def test_orbit_scan_on_tables_that_are_no_quandles(packed_only, every_orbit_plan):
+def test_orbit_scan_on_tables_that_are_no_quandles(packed_only):
     rng = random.Random(8)
     for n in (3, 4, 5, 6):
         quandle = column_permutations(rng, n)
@@ -456,7 +459,7 @@ def test_orbit_scan_on_tables_that_are_no_quandles(packed_only, every_orbit_plan
         _assert_orbit_scan_exact(rng, quandle, cocycles, [s for s in range(3, 8) if 256 < n**s <= 4096])
 
 
-def test_orbit_scan_over_klein(packed_only, every_orbit_plan):
+def test_orbit_scan_over_klein(packed_only):
     # the Klein group's identity is index 3, so every weight column starts at 3, not 0
     rng = random.Random(4)
     q = build_s4()
@@ -489,16 +492,7 @@ def test_orbit_scan_steps_one_lane0_color_of_a_connected_quandle(monkeypatch):
     assert seen == [(0, 4**7)]  # few colorings: the other lane-0 colors are mapped
     seen.clear()
     assert braid._scan_packed(word, q, c) == _reference_state_sum(word, c)
-    assert seen == [(0, 4**8)]  # called directly, it scans every tuple in one chunk
-
-
-def test_small_scans_skip_the_orbit_plan(monkeypatch):
-    # 4^4 tuples x 6 steps are fewer tuple-steps than the plan costs (ORBIT_COST per color)
-    seen = _lane0_blocks(monkeypatch)
-    q, c = build_s4(), build_s4_cocycle()
-    word = parse_braid("B4: s1 s2^-1 s3 s1 s2^-1 s3")
-    assert list(cjkls_state_sum(word, q, c).coeffs) == _reference_state_sum(word, c)
-    assert seen == [(0, 4**4)] and 4**4 * 6 <= braid.ORBIT_COST * 4
+    assert seen == [(0, 4**7)]  # called directly too
 
 
 def test_dense_colorings_are_scanned_not_mapped(monkeypatch):
@@ -515,15 +509,60 @@ def test_dense_colorings_are_scanned_not_mapped(monkeypatch):
     assert [x for x, _ in seen] == [0]
 
 
-def test_scan_tables_are_checked_against_their_inputs():
+# ---------------------------------------------------------- scan table memos
+# _scan_tables and _run keep the tables of recent pairs and runs; each test clears
+# them first, so it does not depend on which scans ran before it.
+
+
+def _clear_scan_memos():
+    braid._scan_tables.cache_clear()
+    braid._run.cache_clear()
+
+
+def test_a_loaded_pair_shares_the_tables_of_the_built_in_pair(tmp_path):
+    _clear_scan_memos()
     q, c = build_s4(), build_s4_cocycle()
-    tables = braid.ScanTables(q, c)
-    word = parse_braid("B4: s1 s2^-1 s3 s1")
-    assert cjkls_state_sum(word, q, c, tables=tables) == cjkls_state_sum(word, q, c)
-    with pytest.raises(ValueError, match="another quandle or cocycle"):
-        cjkls_state_sum(word, q, build_trivial_cocycle(q, build_cyclic_group(2)), tables=tables)
-    with pytest.raises(ValueError, match="another quandle or cocycle"):
-        braid._scan(word, q, None, braid.DEFAULT_BUDGET, tables)
+    save_quandle(q, tmp_path / "q.json")
+    save_cocycle(c, tmp_path / "c.json")
+    loaded_q, loaded_c = load_quandle(tmp_path / "q.json"), load_cocycle(tmp_path / "c.json")
+    assert (loaded_q, loaded_c) == (q, c) and loaded_c is not c
+    assert braid._scan_tables(loaded_q, loaded_c) is braid._scan_tables(q, c)
+    assert braid._scan_tables.cache_info().currsize == 1
+
+
+def test_a_second_invariant_command_builds_no_run_tables(capsys, monkeypatch):
+    _clear_scan_memos()
+    monkeypatch.delenv("QCJKLS_CACHE", raising=False)
+    calls = []
+    original = braid._run_word
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(braid, "_run_word", counted)
+    assert main(["invariant", "B4: s1 s2^-1 s3 s1^5"]) == 0
+    assert calls  # the first command builds the single-letter tables of the default pair
+    calls.clear()
+    assert main(["invariant", "B3: s1^2 s2^-7 s1"]) == 0
+    assert calls == []
+    capsys.readouterr()
+
+
+def test_scan_memos_stay_bounded():
+    # 1000 words with distinct exponents over 200 distinct pairs: more than either memo keeps
+    _clear_scan_memos()
+    rng = random.Random(1000)
+    q, group = build_s4(), build_cyclic_group(2)
+    cocycles = [Cocycle(q, group, _random_cocycle_table(rng, q, group)) for _ in range(200)]
+    for k in range(1, 1001):
+        cjkls_state_sum(parse_braid(f"B3: s1^{k} s2^-{k + 1}"), q, cocycles[k % 200])
+    for memo in (braid._scan_tables, braid._run):
+        info = memo.cache_info()
+        assert info.currsize <= info.maxsize < info.misses, (memo, info)
+    # tables and runs that were dropped are rebuilt exactly
+    word = parse_braid("B3: s1^7 s2^-9 s1^-2")
+    assert braid._scan(word, q, cocycles[1], 10**9) == _scan_tuples(word, q, cocycles[1])
 
 
 # ---------------------------------------------------------- cache robustness

@@ -140,6 +140,16 @@ def test_limit_estimate_input_validation():
         limit_estimate(good, tolerance=0.0)
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
+def test_tolerance_must_be_finite_and_positive(tolerance):
+    good = [(1, (0.0,)), (2, (0.0,)), (3, (0.0,))]
+    with pytest.raises(ValueError, match="finite and positive"):
+        limit_estimate(good, tolerance=tolerance)
+    report = limit_estimate(good)
+    with pytest.raises(ValueError, match="finite and positive"):
+        distinguish_limits([report, report], tolerance=tolerance)
+
+
 def test_tail_is_last_third_never_below_two():
     # 9 samples: tail = 3, so a jump at position 6 blocks convergence
     flat = [(n, (0.0, 0.0)) for n in range(1, 7)]

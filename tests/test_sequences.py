@@ -67,7 +67,7 @@ def test_family_point_text_comes_from_blocks():
             # no merge across blocks, so the block text is the merged-run text
             assert all(a != b for a, b in zip(blocks, blocks[1:])), (family, n)
             word, point = family_braid(family, n), family_point(family, n)
-            assert (point.canonical(), point.strands) == (word.canonical(), word.strands), (family, n)
+            assert (family_texts(family, n, n)[0], point.strands) == (word.canonical(), word.strands), (family, n)
 
 
 def test_family_texts_match_letter_oracle():
@@ -196,7 +196,7 @@ def test_family_point_bundles_fields():
     p = family_point(KN, 2)
     assert p.n == 2
     assert p.braid.canonical() == "B3: s2^-3 s1^3 s2^-3"
-    assert p.canonical() == "B3: s2^-3 s1^3 s2^-3"
+    assert family_texts(KN, 2, 2)[0] == "B3: s2^-3 s1^3 s2^-3"
     assert p.strands == 3
     assert p.closed_c == 9
     assert p.closed_Z.coeffs == (16, 48)
