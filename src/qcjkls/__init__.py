@@ -37,10 +37,8 @@ from .group_algebra import (
 from .invariant import (
     InvariantCache,
     InvariantRecord,
-    NotReducedAlternatingError,
     cjkls_state_sum,
     compute_invariant,
-    crossing_number_reduced_alternating,
     free_energy,
     free_energy_per_crossing,
 )

@@ -26,8 +26,8 @@ from itertools import chain, compress, product, repeat, starmap
 from math import gcd
 from operator import itemgetter, ne, not_, sub
 
-from .cocycle import Cocycle
-from .quandle import AlexanderQuandleSpec, QuandleTable, build_alexander_quandle
+from .cocycle import Cocycle, verify_cocycle
+from .quandle import AlexanderQuandleSpec, QuandleTable, build_alexander_quandle, verify_quandle_axioms
 
 # Cap on the number of candidate top tuples (quandle_size ** strands) a
 # brute-force enumeration will walk, and on the number of colorings the
@@ -229,55 +229,30 @@ class ScanTables:
 
     ``gmul`` maps byte (w << 4) | x to the group product w * x, and
     ``gmul_swapped`` maps (x << 4) | w to it.  ``orbits`` is the packed
-    scan's plan for lane 0 (see _scan).  Each table is built when first
-    read.  The scans get their tables from _scan_tables and their runs
-    of letters from _run.
+    scan's plan for lane 0 (see _scan): (representative, move) per color
+    x, the least of x's orbit and a translate table taking it to x.
+    ``orbit_size`` counts each representative's orbit.  The scans get
+    their tables from _scan_tables and their runs of letters from _run.
+
+    The orbits are those of the group generated by the right
+    translations R_a(x) = x*a that satisfy, at c = a and all x, y, the
+    two laws verify_quandle_axioms and verify_cocycle check: R_a is an
+    automorphism, (x*y)*a = (x*a)*(y*a), and, with a cocycle,
+    phi(x*a, y*a) phi(x, a) = phi(x, y) phi(x*y, a).  R_a is a bijection
+    in every QuandleTable.  ``move`` composes such R_a, so it keeps both
+    laws too.
     """
 
     def __init__(self, quandle: QuandleTable, cocycle: Cocycle | None):
         self.quandle, self.cocycle = quandle, cocycle
         self.identity = cocycle.group.identity if cocycle is not None else 0
-
-    @cached_property
-    def gmul(self) -> bytes:
-        return _nibble_table(self.cocycle.group.mul if self.cocycle is not None else ())
-
-    @cached_property
-    def gmul_swapped(self) -> bytes:
-        return _SWAP_NIBBLES.translate(self.gmul)
-
-    @cached_property
-    def orbits(self) -> list[tuple[int, bytes]]:
-        """(representative, move) per color x, the least of x's orbit and a translate table taking it to x.
-
-        The orbits are those of the group generated by the right
-        translations R_a(x) = x*a that pass two checks on all x, y: R_a
-        is an automorphism, (x*y)*a = (x*a)*(y*a), and, with a cocycle,
-        phi(x*a, y*a) phi(x, a) = phi(x, y) phi(x*y, a).  R_a is a
-        bijection in every QuandleTable.  ``move`` composes such R_a, so
-        it passes both checks too.
-        """
-        quandle, cocycle, gmul = self.quandle, self.cocycle, self.gmul
+        self.gmul = _nibble_table(cocycle.group.mul if cocycle is not None else ())
+        self.gmul_swapped = _SWAP_NIBBLES.translate(self.gmul)
         q, op = quandle.size, quandle.op
-        # each check compares one byte per pair (x, y) of colors
-        pairs = bytes(x << 4 | y for x in range(q) for y in range(q))
-        xs, ys = pairs.translate(_LEFT), pairs.translate(_RIGHT)
-        star = _nibble_table(op)
-        products = pairs.translate(star)
+        failed = {elems[-1] for axiom, elems in verify_quandle_axioms(quandle).violations if axiom == "self_distributivity"}
         if cocycle is not None:
-            phi = _nibble_table(cocycle.table)
-            weights = pairs.translate(phi)
-        moves = []
-        for a in range(q):
-            move = bytes(op[x][a] for x in range(q)) + _IDENTITY[q:]
-            moved = _pack(xs.translate(move), ys.translate(move))
-            if moved.translate(star) != products.translate(move):
-                continue
-            if cocycle is not None:
-                f = bytes(cocycle.table[x][a] for x in range(q)) + _IDENTITY[q:]
-                if _pack(moved.translate(phi), xs.translate(f)).translate(gmul) != _pack(weights, products.translate(f)).translate(gmul):
-                    continue
-            moves.append(move)
+            failed.update(c for _, _, c in verify_cocycle(cocycle).condition_violations)
+        moves = [bytes(op[x][a] for x in range(q)) + _IDENTITY[q:] for a in range(q) if a not in failed]
         plan = [None] * q
         for rep in range(q):
             if plan[rep] is None:
@@ -288,7 +263,8 @@ class ScanTables:
                         if plan[move[y]] is None:
                             plan[move[y]] = (rep, plan[y][1].translate(move))
                             reached.append(move[y])
-        return plan
+        self.orbits = plan
+        self.orbit_size = Counter(rep for rep, _ in plan)
 
 
 # _scan_tables(quandle, cocycle): the ScanTables of the most recently scanned pairs.  The
@@ -460,7 +436,6 @@ def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
         trailing += 1
     n = q**trailing
     weighted = any(step[3] is not None for step in steps)
-    orbit_size = Counter(rep for rep, _ in tables.orbits)
     constant = [int.from_bytes(bytes([d]) * n, "little") for d in range(q)]
     tops = [_column(q, q**p, n) for p in reversed(range(trailing))]
     # tuple index i of a chunk spells the trailing colors high + low
@@ -494,9 +469,9 @@ def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
             elif weighted:
                 keyed = (int.from_bytes(fixed.translate(_UNFIXED), "little") | weight).to_bytes(n, "little")
                 for g in range(len(coeffs)):
-                    coeffs[g] += keyed.count(g) * orbit_size[x]
+                    coeffs[g] += keyed.count(g) * tables.orbit_size[x]
             else:
-                coeffs[cocycle.group.identity] += fixed.count(0) * orbit_size[x]
+                coeffs[cocycle.group.identity] += fixed.count(0) * tables.orbit_size[x]
         blocks[x] = (start, len(found))
     return found if cocycle is None else coeffs
 

@@ -39,7 +39,7 @@ from .cocycle import (
 )
 from .group_algebra import build_cyclic_group
 from .invariant import InvariantCache, compute_invariant
-from .limits import DEFAULT_TOLERANCE, Box, closed_form_limit, distinguish_limits, limit_estimate
+from .limits import DEFAULT_TOLERANCE, Box, _check_tolerance, closed_form_limit, distinguish_limits, limit_estimate
 from .quandle import (
     AlexanderQuandleSpec,
     QuandleError,
@@ -50,7 +50,7 @@ from .quandle import (
     save_quandle,
     verify_quandle_axioms,
 )
-from .sequences import FamilyId, family_closed_Z, family_closed_f, family_point, family_texts, parse_family_id
+from .sequences import family_closed_Z, family_closed_f, family_point, family_texts, parse_family_id
 
 _TERM = re.compile(r"(\d+)?(?:T(?:\^(\d+))?)?\Z")
 
@@ -258,17 +258,20 @@ def _cmd_colorings(args) -> int:
     if args.quandle and (args.mod is not None or args.poly):
         print("error: --quandle and --mod/--poly name two different quandles; give one", file=sys.stderr)
         return 2
+    if args.poly and args.mod is None:
+        print("error: --poly needs --mod", file=sys.stderr)
+        return 2
     if args.affine:
         if args.quandle:
             print("error: --affine needs an Alexander presentation (--mod/--poly or the default)", file=sys.stderr)
             return 2
-        spec = AlexanderQuandleSpec(args.mod, _parse_poly(args.poly)) if args.mod else S4_SPEC
+        spec = AlexanderQuandleSpec(args.mod, _parse_poly(args.poly)) if args.mod is not None else S4_SPEC
         quandle = build_alexander_quandle(spec)
         colorings = enumerate_colorings_affine(word, spec, budget=args.budget)
     else:
         if args.quandle:
             quandle = load_quandle(args.quandle)
-        elif args.mod:
+        elif args.mod is not None:
             quandle = build_alexander_quandle(AlexanderQuandleSpec(args.mod, _parse_poly(args.poly)))
         else:
             quandle = build_s4()
@@ -298,19 +301,10 @@ def _cmd_colorings(args) -> int:
     return 0
 
 
-def _family_from_args(args) -> FamilyId:
-    text = args.id.strip()
-    if args.m is not None and ":" not in text and "(" not in text:
-        return FamilyId(text, args.m)
-    family = parse_family_id(text)
-    if args.m is not None and family.m != args.m:
-        raise ValueError("conflicting m given in the family id and --m")
-    return family
-
-
 def _cmd_family(args) -> int:
-    family = _family_from_args(args)
+    family = parse_family_id(args.id)
     lo, hi = _parse_range(args.n)
+    _check_tolerance(args.tolerance)
     # Z grows with n, so the last member holds the widest coefficient.  Python 3.10.7+
     # refuses to print an int of more digits than sys.get_int_max_str_digits() (0: no
     # limit); 10**limit has more than 3 * limit bits, so it is built only when needed.
@@ -529,9 +523,8 @@ def _build_parser() -> argparse.ArgumentParser:
     col.set_defaults(handler=_cmd_colorings)
 
     fam = sub.add_parser("family", help="closed-form sweep of a built-in braid family")
-    fam.add_argument("id", help="Kn, KPrime, K0, Km, KPrimeM (Km/KPrimeM take --m or Km:2)")
+    fam.add_argument("id", help="Kn, KPrime, K0, Km:<m> or KPrimeM:<m>, e.g. Km:2")
     fam.add_argument("--n", required=True, help="index range A..B")
-    fam.add_argument("--m", type=int, default=None, help="twist parameter for Km/KPrimeM")
     fam.add_argument("--verify", action="store_true", help="brute-force cross-check each member")
     fam.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     fam.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)

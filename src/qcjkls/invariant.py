@@ -23,10 +23,6 @@ from .group_algebra import GroupAlgebraElement, element_from_json, group_from_la
 from .quandle import QuandleTable
 
 
-class NotReducedAlternatingError(ValueError):
-    """The closure diagram was not verified reduced and alternating."""
-
-
 def cjkls_state_sum(
     word: BraidWord,
     quandle: QuandleTable,
@@ -62,27 +58,15 @@ def free_energy_per_crossing(z: GroupAlgebraElement, crossing_number: int) -> tu
     return tuple(x / crossing_number for x in free_energy(z))
 
 
-def crossing_number_reduced_alternating(word: BraidWord) -> int:
-    """Crossing count, valid as the crossing number of the closure.
-
-    For a reduced alternating diagram the crossing count is minimal
-    over all diagrams of the knot, so it can be reported as the
-    crossing number.  Raises NotReducedAlternatingError otherwise: a
-    non-minimal diagram would silently skew every per-crossing
-    quantity.
-    """
-    if not is_alternating_closure(word):
-        raise NotReducedAlternatingError("closure diagram is not alternating")
-    if not is_reduced_closure(word):
-        raise NotReducedAlternatingError("closure diagram is alternating but not reduced")
-    return len(word.letters)
-
-
 def _derived_crossing_number(word: BraidWord) -> int | None:
-    try:
-        return crossing_number_reduced_alternating(word)
-    except NotReducedAlternatingError:
-        return None
+    """The crossing count when the closure diagram is reduced and alternating, else None.
+
+    A reduced alternating diagram has the fewest crossings of any
+    diagram of its knot, so its crossing count is the crossing number.
+    Any other diagram may have more, which would skew every
+    per-crossing quantity, so no number is derived for it.
+    """
+    return len(word.letters) if is_alternating_closure(word) and is_reduced_closure(word) else None
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,6 @@ class LimitReport:
     """Convergence verdict for one sampled sequence."""
 
     family: FamilyId | None
-    samples: tuple[tuple[int, tuple[float, ...]], ...]
     converged: bool
     estimate: tuple[float, ...] | Box
     max_tail_deviation: float
@@ -127,7 +126,6 @@ def limit_estimate(
         )
     return LimitReport(
         family=family,
-        samples=tuple(samples),
         converged=converged,
         estimate=estimate,
         max_tail_deviation=deviation,

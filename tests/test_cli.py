@@ -7,7 +7,7 @@ import time
 import pytest
 from _helpers import reference_family_braid
 
-from qcjkls import sequences
+from qcjkls import cli, sequences
 from qcjkls.cli import _parse_range, main
 from qcjkls.cocycle import build_s4_cocycle, save_cocycle
 from qcjkls.quandle import build_s4, save_quandle
@@ -164,6 +164,18 @@ def test_colorings_alexander_options(capsys):
     code, out, err = run(capsys, ["colorings", "s1^3", "--mod", "3"])
     assert code == 2
     assert "--poly" in err
+
+
+@pytest.mark.parametrize("affine", [[], ["--affine"]])
+def test_colorings_refuses_a_polynomial_without_a_modulus(capsys, affine):
+    # a polynomial alone names no quandle, so it must not fall back to the default one
+    code, out, err = run(capsys, ["colorings", "s1^3", "--poly", "T+3", *affine])
+    assert (code, out) == (2, "")
+    assert "--poly needs --mod" in err
+    # --mod 0 names a modulus too: it is refused by the ring, not read as "no --mod"
+    code, out, err = run(capsys, ["colorings", "s1^3", "--mod", "0", "--poly", "T+1", *affine])
+    assert (code, out) == (2, "")
+    assert "modulus" in err
 
 
 def test_colorings_refuses_a_quandle_file_next_to_alexander_options(capsys, tmp_path):
@@ -347,15 +359,6 @@ def test_family_with_parameter(capsys):
     assert [p["n"] for p in doc["points"]] == [1, 2, 3]
     assert doc["points"][0]["crossings"] == 15
 
-    code, out, err = run(capsys, ["family", "Km", "--n", "1..3", "--m", "2", "--format", "json"])
-    assert code == 0
-    assert json.loads(out)["family"] == "Km(2)"
-
-
-def test_family_parameter_conflict(capsys):
-    code, out, err = run(capsys, ["family", "Km:2", "--n", "1..3", "--m", "1"])
-    assert code == 2
-
 
 @pytest.fixture
 def int_str_limit():
@@ -435,6 +438,17 @@ def test_tolerance_must_be_finite_and_positive(capsys, command, tolerance):
     code, out, err = run(capsys, command + ["--n", "1..30", "--tolerance", tolerance])
     assert (code, out) == (2, "")
     assert "finite and positive" in err and "Traceback" not in err
+
+
+def test_family_checks_the_tolerance_before_the_first_member(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compute_invariant ran before the tolerance was checked")
+
+    monkeypatch.setattr(cli, "compute_invariant", refuse)
+    for argv in (["family", "Kn", "--n", "1..2"], ["family", "Kn", "--n", "1..3", "--verify"]):
+        code, out, err = run(capsys, argv + ["--tolerance", "nan"])
+        assert (code, out) == (2, ""), argv
+        assert "finite and positive" in err, argv
 
 
 def test_limits_needs_enough_samples(capsys):

@@ -18,10 +18,8 @@ from qcjkls.group_algebra import AbelianGroup, GroupAlgebraElement, build_cyclic
 from qcjkls.invariant import (
     InvariantCache,
     InvariantRecord,
-    NotReducedAlternatingError,
     cjkls_state_sum,
     compute_invariant,
-    crossing_number_reduced_alternating,
     free_energy,
     free_energy_per_crossing,
     record_from_json,
@@ -94,11 +92,9 @@ def test_free_energy_per_crossing():
 
 
 def test_crossing_number_requires_reduced_alternating():
-    assert crossing_number_reduced_alternating(TREFOIL) == 3
-    with pytest.raises(NotReducedAlternatingError, match="alternating"):
-        crossing_number_reduced_alternating(parse_braid("B3: s1 s2"))
-    with pytest.raises(NotReducedAlternatingError, match="reduced"):
-        crossing_number_reduced_alternating(parse_braid("B2: s1"))
+    assert invariant._derived_crossing_number(TREFOIL) == 3
+    assert invariant._derived_crossing_number(parse_braid("B3: s1 s2")) is None  # not alternating
+    assert invariant._derived_crossing_number(parse_braid("B2: s1")) is None  # alternating, not reduced
 
 
 def test_record_validation():
