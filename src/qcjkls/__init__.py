@@ -67,13 +67,13 @@ from .quandle import (
 )
 from .sequences import (
     FamilyId,
-    FamilyPoint,
+    FamilyRow,
     binomial_sums,
     family_braid,
     family_closed_Z,
     family_closed_f,
     family_crossing_number,
-    family_point,
+    family_rows,
     parse_family_id,
 )
 

@@ -50,7 +50,8 @@ from .quandle import (
     save_quandle,
     verify_quandle_axioms,
 )
-from .sequences import family_closed_Z, family_closed_f, family_point, family_texts, parse_family_id
+from . import sequences
+from .sequences import family_rows, family_texts, parse_family_id
 
 _TERM = re.compile(r"(\d+)?(?:T(?:\^(\d+))?)?\Z")
 
@@ -79,8 +80,11 @@ def _parse_poly(text: str) -> tuple[int, ...]:
 
 # Cap on the samples one `family` or `limits` command takes: the members of
 # its --n range, times the number of families for `limits`.  The limit check
-# compares every pair of tail samples, so 10^4 samples take about a second.
+# compares every pair of tail samples, so 10^4 samples take about half a second.
 MAX_SAMPLES = 10**4
+# Cap on the family index n: member n's Z has up to 4n + 2 bits (K0), so an
+# unbounded n would build unbounded integers before any output.
+MAX_INDEX = 10**5
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -93,6 +97,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"bad range {text!r}")
     if hi - lo + 1 > MAX_SAMPLES:
         raise ValueError(f"range {text!r} has {hi - lo + 1} members, above the cap of {MAX_SAMPLES}")
+    if hi > MAX_INDEX:
+        raise ValueError(f"range {text!r} reaches n={hi}, above the index cap of {MAX_INDEX}")
     return lo, hi
 
 
@@ -305,107 +311,90 @@ def _cmd_family(args) -> int:
     family = parse_family_id(args.id)
     lo, hi = _parse_range(args.n)
     _check_tolerance(args.tolerance)
-    # Z grows with n, so the last member holds the widest coefficient.  Python 3.10.7+
-    # refuses to print an int of more digits than sys.get_int_max_str_digits() (0: no
-    # limit); 10**limit has more than 3 * limit bits, so it is built only when needed.
+    # Z grows with n, so the last member holds the widest coefficient; it is built
+    # first, so a refused range builds no other member.  Python 3.10.7+ refuses to
+    # print an int of more digits than sys.get_int_max_str_digits() (0: no limit);
+    # 10**limit has more than 3 * limit bits, so it is built only when needed.
+    (last,) = family_rows(family, hi, hi)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    widest = max(family_closed_Z(family, hi).coeffs)
+    widest = max(last.z)
     if limit and widest.bit_length() > 3 * limit and widest >= 10**limit:
         raise ValueError(
             f"family {family} at n={hi} has a Z coefficient of more than {limit} digits, "
             "above the integer string conversion limit; raise it with PYTHONINTMAXSTRDIGITS"
         )
-    cocycle = build_s4_cocycle()
-    quandle = cocycle.quandle
-    cache = _resolve_cache(args)
+    rows = [*family_rows(family, lo, hi - 1), last]
 
-    points = []
-    failed = False
-    for n in range(lo, hi + 1):
-        point = family_point(family, n)
-        check = None
-        if args.verify:
-            if len(point.braid.letters) != point.closed_c:
-                check = "differ"
-            else:
-                try:
-                    record = compute_invariant(
-                        point.braid,
-                        quandle,
-                        cocycle,
-                        budget=args.budget,
-                        cache=cache,
-                    )
-                    check = "agree" if record.z.coeffs == point.closed_Z.coeffs else "differ"
-                except BudgetExceededError:
-                    check = "skipped"
-            failed = failed or check == "differ"
-        points.append((point, check))
+    checks = [None] * len(rows)
+    if args.verify:
+        cocycle = build_s4_cocycle()
+        cache = _resolve_cache(args)
+        for i, row in enumerate(rows):
+            word = sequences.family_braid(family, row.n)
+            if len(word.letters) != row.crossings:
+                checks[i] = "differ"
+                continue
+            try:
+                record = compute_invariant(word, cocycle.quandle, cocycle, budget=args.budget, cache=cache)
+                checks[i] = "agree" if record.z.coeffs == row.z else "differ"
+            except BudgetExceededError:
+                checks[i] = "skipped"
 
     report = None
-    if len(points) >= 3:
+    if len(rows) >= 3:
         report = limit_estimate(
-            [(p.n, p.closed_f) for p, _ in points],
+            [(row.n, row.f) for row in rows],
             tolerance=args.tolerance,
             family=family,
             closed_form=closed_form_limit(family),
         )
 
+    one, t = build_cyclic_group(2).labels
     if args.format == "json":
         payload = {
             "family": str(family),
             "points": [
                 {
-                    "n": p.n,
+                    "n": n,
                     "braid": text,
-                    "strands": p.strands,
-                    "crossings": p.closed_c,
-                    "Z": p.closed_Z.to_json(),
-                    "f": list(p.closed_f),
+                    "strands": strands,
+                    "crossings": crossings,
+                    "Z": {"group_labels": [one, t], "coeffs": [str(z[0]), str(z[1])]},
+                    "f": list(f),
                     **({"check": check} if check is not None else {}),
                 }
-                for (p, check), text in zip(points, family_texts(family, lo, hi))
+                for (n, strands, crossings, z, f), check, text in zip(rows, checks, family_texts(family, lo, hi))
             ],
             "limit_report": report.to_json() if report else None,
         }
         print(json.dumps(payload, sort_keys=True))
     elif args.format == "csv":
-        writer = _csv_writer()
         header = ["family", "m", "n", "strands", "crossings", "z_1", "z_2", "f_1", "f_2"]
+        m = family.m if family.m is not None else ""
+        body = (
+            [family.kind, m, n, strands, crossings, z[0], z[1], _g17(f[0]), _g17(f[1])]
+            for n, strands, crossings, z, f in rows
+        )
         if args.verify:
             header.append("check")
+            body = (cells + [check] for cells, check in zip(body, checks))
+        writer = _csv_writer()
         writer.writerow(header)
-        for p, check in points:
-            row = [
-                family.kind,
-                family.m if family.m is not None else "",
-                p.n,
-                p.strands,
-                p.closed_c,
-                str(p.closed_Z.coeffs[0]),
-                str(p.closed_Z.coeffs[1]),
-                _g17(p.closed_f[0]),
-                _g17(p.closed_f[1]),
-            ]
-            if args.verify:
-                row.append(check)
-            writer.writerow(row)
+        writer.writerows(body)
         if report:
             print("# limit " + json.dumps(report.to_json(), sort_keys=True))
     else:
-        print(f"family {family}: n = {lo}..{hi}")
-        for p, check in points:
-            line = (
-                f"n={p.n} strands={p.strands} crossings={p.closed_c} "
-                f"Z={p.closed_Z} f={_floats(p.closed_f)}"
-            )
-            if check is not None:
-                line += f" check={check}"
-            print(line)
+        lines = [f"family {family}: n = {lo}..{hi}"]
+        lines += [
+            f"n={n} strands={strands} crossings={crossings} Z={z[0]}*{one} + {z[1]}*{t} f=({f[0]!r}, {f[1]!r})"
+            + (f" check={check}" if check is not None else "")
+            for (n, strands, crossings, z, f), check in zip(rows, checks)
+        ]
         if report:
-            print(_format_report(report))
+            lines.append(_format_report(report))
+        print("\n".join(lines))
 
-    return 1 if failed else 0
+    return 1 if "differ" in checks else 0
 
 
 def _format_region(region) -> str:
@@ -437,7 +426,7 @@ def _cmd_limits(args) -> int:
 
     reports = []
     for family in families:
-        samples = [(n, family_closed_f(family, n)) for n in range(lo, hi + 1)]
+        samples = [(row.n, row.f) for row in family_rows(family, lo, hi)]
         reports.append(
             limit_estimate(
                 samples,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, starmap
 
 from .sequences import FamilyId
 
@@ -115,7 +116,7 @@ def limit_estimate(
 
     tail_len = max(2, math.ceil(len(samples) / 3))
     tail = [point for _, point in samples[-tail_len:]]
-    deviation = max(math.dist(a, b) for i, a in enumerate(tail) for b in tail[i + 1 :])
+    deviation = max(starmap(math.dist, combinations(tail, 2)))
     converged = deviation <= tolerance
     if converged:
         estimate: tuple[float, ...] | Box = samples[-1][1]

@@ -28,14 +28,19 @@ generator.  Block i is positive exactly when i % 2 equals the word's
 parity: 1 for Kn, Km, KPrime and KPrimeM, n % 2 for K0.  family_texts
 cuts each run's text as one slice out of a ladder string of block
 texts; only family_braid expands runs into letters.
+
+family_rows yields a range's closed forms (strands, crossings, Z and f)
+as plain rows; family_crossing_number, family_closed_Z and
+family_closed_f are its one-member views.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, repeat
+from typing import NamedTuple
 
 from .braid import BraidWord
 from .group_algebra import GroupAlgebraElement, build_cyclic_group
@@ -119,19 +124,6 @@ def family_braid(family: FamilyId, n: int) -> BraidWord:
     return BraidWord(_strands(family, n), tuple(chain.from_iterable(repeat(b, k) for b in blocks)))
 
 
-def family_crossing_number(family: FamilyId, n: int) -> int:
-    """Closed-form crossing number of the n-th closure (letters count)."""
-    if n < 1:
-        raise ValueError(f"family index must be >= 1, got {n}")
-    scale = 2 * family.m + 1 if family.kind in ("Km", "KPrimeM") else 1
-    if family.kind in ("Kn", "Km"):
-        return 3 * scale * (2 * n - 1)
-    if family.kind in ("KPrime", "KPrimeM"):
-        base = (15 * n - 9) // 2 if n % 2 == 1 else (15 * n - 12) // 2
-        return base * scale
-    return 3 * n * n + 3 * n - 3
-
-
 def _ladder(texts: list[str], order: range) -> tuple[str, list[int], list[int]]:
     """texts[i] for i in order joined by spaces, with where each index's text starts and ends."""
     start, end = [0] * len(texts), [0] * len(texts)
@@ -183,21 +175,61 @@ def binomial_sums(m: int) -> tuple[int, int]:
     return (4**m + (-2) ** m) // 2, (4**m - (-2) ** m) // 2
 
 
-def _closed_coeffs(family: FamilyId, n: int) -> tuple[int, int]:
-    if family.kind in ("Kn", "Km"):
-        return 4**n, 3 * 4**n
+class FamilyRow(NamedTuple):
+    """One member's closed forms: Z's coefficients at 1 and t, and their logs over the crossings."""
+
+    n: int
+    strands: int
+    crossings: int
+    z: tuple[int, int]
+    f: tuple[float, float]
+
+
+def family_rows(family: FamilyId, lo: int, hi: int) -> Iterator[FamilyRow]:
+    """The closed forms of members n = lo..hi (none when hi < lo), in order.
+
+    Kn, Km and K0 have Z = 4^p (1 + 3t) with p = n (Kn, Km) or 2n - 1
+    (K0).  KPrime and KPrimeM have Z = 4^(n // 2 + 1) times the
+    binomial sums of m = ceil(n / 2), which odd n and n + 1 share.  A
+    generator, so a caller that keeps only f holds one member's Z at a time.
+    """
+    if lo < 1:
+        raise ValueError(f"family index must be >= 1, got {lo}")
+    scale = 2 * family.m + 1 if family.kind in ("Km", "KPrimeM") else 1
     if family.kind in ("KPrime", "KPrimeM"):
-        power = n // 2 + 1
-        even, odd = binomial_sums((n + 1) // 2)
-        return 4**power * even, 4**power * odd
-    return 4 ** (2 * n - 1), 3 * 4 ** (2 * n - 1)
+        m = 0
+        for n in range(lo, hi + 1):
+            if m != (n + 1) // 2:
+                m = (n + 1) // 2
+                big, small = 1 << 2 * m - 1, 1 << m - 1  # 4^m / 2 and 2^m / 2
+                even, odd = (big + small, big - small) if m % 2 == 0 else (big - small, big + small)
+                log_even, log_odd = math.log(even), math.log(odd)
+            power = n // 2 + 1
+            c = scale * ((15 * n - 9) // 2 if n % 2 == 1 else (15 * n - 12) // 2)
+            ln = 2 * power * _LN2
+            z = (even << 2 * power, odd << 2 * power)
+            yield FamilyRow(n, n + 1, c, z, ((ln + log_even) / c, (ln + log_odd) / c))
+        return
+    k0 = family.kind == "K0"
+    for n in range(lo, hi + 1):
+        power, strands, c = (2 * n - 1, 2 * n, 3 * n * n + 3 * n - 3) if k0 else (n, n + 1, 3 * scale * (2 * n - 1))
+        ln = 2 * power * _LN2
+        one = 1 << 2 * power
+        yield FamilyRow(n, strands, c, (one, 3 * one), (ln / c, (ln + _LN3) / c))
+
+
+def _row(family: FamilyId, n: int) -> FamilyRow:
+    return next(family_rows(family, n, n))
+
+
+def family_crossing_number(family: FamilyId, n: int) -> int:
+    """Closed-form crossing number of the n-th closure (letters count)."""
+    return _row(family, n).crossings
 
 
 def family_closed_Z(family: FamilyId, n: int) -> GroupAlgebraElement:
     """Closed-form state sum over Z_2 coefficients (exact)."""
-    if n < 1:
-        raise ValueError(f"family index must be >= 1, got {n}")
-    return GroupAlgebraElement(_Z2, _closed_coeffs(family, n))
+    return GroupAlgebraElement(_Z2, _row(family, n).z)
 
 
 def family_closed_f(family: FamilyId, n: int) -> tuple[float, float]:
@@ -207,40 +239,4 @@ def family_closed_f(family: FamilyId, n: int) -> tuple[float, float]:
     rather than by delegating to the generic state-sum path, so tests
     can compare the two routes.
     """
-    c = family_crossing_number(family, n)  # raises for n < 1
-    if family.kind in ("Kn", "Km", "K0"):
-        power = n if family.kind in ("Kn", "Km") else 2 * n - 1
-        return (2 * power * _LN2 / c, (2 * power * _LN2 + _LN3) / c)
-    power = n // 2 + 1
-    even, odd = binomial_sums((n + 1) // 2)
-    return (
-        (2 * power * _LN2 + math.log(even)) / c,
-        (2 * power * _LN2 + math.log(odd)) / c,
-    )
-
-
-@dataclass(frozen=True)
-class FamilyPoint:
-    """One sampled family member with its closed-form data; letters only on demand."""
-
-    family: FamilyId
-    n: int
-    strands: int
-    closed_Z: GroupAlgebraElement
-    closed_c: int
-    closed_f: tuple[float, float]
-
-    @cached_property
-    def braid(self) -> BraidWord:
-        return family_braid(self.family, self.n)
-
-
-def family_point(family: FamilyId, n: int) -> FamilyPoint:
-    return FamilyPoint(
-        family=family,
-        n=n,
-        strands=_strands(family, n),
-        closed_Z=family_closed_Z(family, n),
-        closed_c=family_crossing_number(family, n),
-        closed_f=family_closed_f(family, n),
-    )
+    return _row(family, n).f

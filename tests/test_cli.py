@@ -344,6 +344,46 @@ def test_family_verify_builds_letters(capsys, monkeypatch):
     assert all(line.endswith(",skipped") for line in out.splitlines()[1:51])
 
 
+@pytest.mark.parametrize("fmt", ["pretty", "csv"])
+def test_family_sweep_body_is_the_single_member_bodies(capsys, fmt):
+    # pretty: a head line, then one line per member, then the limit report (3+ members);
+    # csv: a header, one row per member, then the "# limit" line
+    code, out, err = run(capsys, ["family", "KPrime", "--n", "1..40", "--format", fmt])
+    assert (code, err) == (0, "")
+    body = out.splitlines()[1:-1]
+    singles = []
+    for n in range(1, 41):
+        code, single, err = run(capsys, ["family", "KPrime", "--n", f"{n}..{n}", "--format", fmt])
+        assert (code, err) == (0, ""), n
+        singles += single.splitlines()[1:]
+    assert body == singles
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "Kn", "--n", "9999999999999999999999..10000000000000000000000"],
+        ["family", "Kn", "--n", "100000000..100000002"],
+        ["family", "K0", "--n", "100001"],
+        ["limits", "--families", "KPrime", "--n", "100000000..100000002"],
+        ["limits", "--families", "Kn,K0", "--n", "99999..100001"],
+    ],
+)
+def test_family_index_is_capped(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, ""), argv
+    assert "above the index cap of 100000" in err and "Traceback" not in err
+
+
+def test_family_index_cap_itself_is_accepted(capsys):
+    code, out, err = run(capsys, ["limits", "--families", "Kn,KPrime,K0", "--n", "99998..100000"])
+    assert (code, err) == (0, "")
+    assert "limit[K0]" in out
+    assert _parse_range("100000") == (100000, 100000)
+
+
 def test_family_sweep_pretty(capsys):
     code, out, err = run(capsys, ["family", "KPrime", "--n", "1..4"])
     assert code == 0

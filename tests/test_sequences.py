@@ -17,7 +17,7 @@ from qcjkls.sequences import (
     family_closed_Z,
     family_closed_f,
     family_crossing_number,
-    family_point,
+    family_rows,
     family_texts,
     parse_family_id,
 )
@@ -60,14 +60,75 @@ def test_family_braid_matches_letter_oracle():
             assert family_braid(family, n) == reference_family_braid(family, n), (family, n)
 
 
-def test_family_point_text_comes_from_blocks():
+def test_family_row_text_comes_from_blocks():
     for family, max_n in ORACLE_CASES:
         for n in range(1, max_n + 1):
             blocks = _blocks(family, n)
             # no merge across blocks, so the block text is the merged-run text
             assert all(a != b for a, b in zip(blocks, blocks[1:])), (family, n)
-            word, point = family_braid(family, n), family_point(family, n)
-            assert (family_texts(family, n, n)[0], point.strands) == (word.canonical(), word.strands), (family, n)
+            word, (row,) = family_braid(family, n), family_rows(family, n, n)
+            assert (family_texts(family, n, n)[0], row.strands) == (word.canonical(), word.strands), (family, n)
+
+
+_LN2, _LN3 = math.log(2.0), math.log(3.0)
+
+
+def _oracle_coeffs(family, n):
+    # the per-member closed forms that family_rows replaced, kept verbatim
+    if family.kind in ("Kn", "Km"):
+        return 4**n, 3 * 4**n
+    if family.kind in ("KPrime", "KPrimeM"):
+        power = n // 2 + 1
+        even, odd = binomial_sums((n + 1) // 2)
+        return 4**power * even, 4**power * odd
+    return 4 ** (2 * n - 1), 3 * 4 ** (2 * n - 1)
+
+
+def _oracle_crossings(family, n):
+    scale = 2 * family.m + 1 if family.kind in ("Km", "KPrimeM") else 1
+    if family.kind in ("Kn", "Km"):
+        return 3 * scale * (2 * n - 1)
+    if family.kind in ("KPrime", "KPrimeM"):
+        base = (15 * n - 9) // 2 if n % 2 == 1 else (15 * n - 12) // 2
+        return base * scale
+    return 3 * n * n + 3 * n - 3
+
+
+def _oracle_f(family, n):
+    c = _oracle_crossings(family, n)
+    if family.kind in ("Kn", "Km", "K0"):
+        power = n if family.kind in ("Kn", "Km") else 2 * n - 1
+        return (2 * power * _LN2 / c, (2 * power * _LN2 + _LN3) / c)
+    power = n // 2 + 1
+    even, odd = binomial_sums((n + 1) // 2)
+    return (
+        (2 * power * _LN2 + math.log(even)) / c,
+        (2 * power * _LN2 + math.log(odd)) / c,
+    )
+
+
+ROW_FAMILIES = [KN, KPRIME, K0] + [FamilyId(kind, m) for kind in ("Km", "KPrimeM") for m in (1, 2, 40)]
+
+
+@pytest.mark.parametrize("family", ROW_FAMILIES, ids=str)
+def test_family_rows_match_the_per_member_closed_forms(family):
+    for lo in (1, 2, 3, 7):
+        rows = list(family_rows(family, lo, 400))
+        assert [row.n for row in rows] == list(range(lo, 401))
+        for row in rows:
+            n = row.n
+            assert row.strands == (2 * n if family.kind == "K0" else n + 1), (family, n)
+            assert (row.crossings, row.z) == (_oracle_crossings(family, n), _oracle_coeffs(family, n)), (family, n)
+            assert row.f == _oracle_f(family, n), (family, n)  # bit for bit, not approximately
+            if n <= 60:
+                word = family_braid(family, n)
+                assert (row.strands, row.crossings) == (word.strands, len(word.letters)), (family, n)
+
+
+def test_family_rows_refuse_index_zero_and_may_be_empty():
+    with pytest.raises(ValueError, match="family index must be >= 1"):
+        list(family_rows(KN, 0, 3))
+    assert list(family_rows(KPRIME, 5, 4)) == []
 
 
 def test_family_texts_match_letter_oracle():
@@ -192,15 +253,15 @@ def test_coefficient_sums_count_all_colorings():
             assert z.coefficient_sum() == 4 ** family_braid(family, n).strands
 
 
-def test_family_point_bundles_fields():
-    p = family_point(KN, 2)
+def test_family_row_bundles_fields():
+    (p,) = family_rows(KN, 2, 2)
     assert p.n == 2
-    assert p.braid.canonical() == "B3: s2^-3 s1^3 s2^-3"
+    assert family_braid(KN, p.n).canonical() == "B3: s2^-3 s1^3 s2^-3"
     assert family_texts(KN, 2, 2)[0] == "B3: s2^-3 s1^3 s2^-3"
     assert p.strands == 3
-    assert p.closed_c == 9
-    assert p.closed_Z.coeffs == (16, 48)
-    assert p.closed_f[0] == pytest.approx(math.log(16) / 9, abs=1e-15)
+    assert p.crossings == 9
+    assert p.z == (16, 48)
+    assert p.f[0] == pytest.approx(math.log(16) / 9, abs=1e-15)
 
 
 def test_family_id_parsing():
