@@ -492,6 +492,13 @@ def _scan_tuples(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
     return found if cocycle is None else coeffs
 
 
+def exceeds_budget(q: int, s: int, budget: int) -> bool:
+    """Whether a scan of the q ** s top tuples of an s-strand word over a q-element quandle exceeds the budget."""
+    # exact q ** s > budget: capping s at budget.bit_length() + 1 keeps the power small,
+    # and any q >= 2 raised to that cap already exceeds the budget
+    return q ** min(s, budget.bit_length() + 1) > budget
+
+
 def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, budget: int):
     """One brute-force pass over all quandle_size ** strands top tuples.
 
@@ -525,9 +532,7 @@ def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, budge
     over, with the same weights, and their state sum is the same.
     """
     q, s = quandle.size, word.strands
-    # exact q ** s > budget: capping s at budget.bit_length() + 1 keeps the power small,
-    # and any q >= 2 raised to that cap already exceeds the budget
-    if q ** min(s, budget.bit_length() + 1) > budget:
+    if exceeds_budget(q, s, budget):
         raise BudgetExceededError(f"{q}^{s} candidate tuples exceed the budget {budget}")
     order = cocycle.group.order if cocycle is not None else 1
     if q > PACKED_MAX or order > PACKED_MAX:

@@ -26,8 +26,10 @@ import sys
 from .braid import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    MAX_LETTERS,
     enumerate_colorings,
     enumerate_colorings_affine,
+    exceeds_budget,
     parse_braid,
 )
 from .cocycle import (
@@ -85,6 +87,9 @@ MAX_SAMPLES = 10**4
 # Cap on the family index n: member n's Z has up to 4n + 2 bits (K0), so an
 # unbounded n would build unbounded integers before any output.
 MAX_INDEX = 10**5
+# Cap on the twist blocks the words of a `family --format json` range sum to:
+# K0's words grow as n^2, so the output of a range grows as n^3 inside MAX_SAMPLES.
+MAX_BLOCKS = 2 * 10**7
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -324,21 +329,30 @@ def _cmd_family(args) -> int:
             "above the integer string conversion limit; raise it with PYTHONINTMAXSTRDIGITS"
         )
     rows = [*family_rows(family, lo, hi - 1), last]
+    if args.format == "json":
+        blocks = sum(row.crossings for row in rows) // sequences._twist_exponent(family)
+        if blocks > MAX_BLOCKS:
+            raise ValueError(
+                f"family {family} over n={lo}..{hi} has {blocks} twist blocks in its words, "
+                f"above the JSON cap of {MAX_BLOCKS}; narrow --n, or use --format pretty or csv"
+            )
 
     checks = [None] * len(rows)
     if args.verify:
         cocycle = build_s4_cocycle()
         cache = _resolve_cache(args)
         for i, row in enumerate(rows):
+            # a member whose letters a braid text could not hold, or whose scan the
+            # budget refuses, is skipped before a single letter is built
+            if row.crossings > MAX_LETTERS or exceeds_budget(cocycle.quandle.size, row.strands, args.budget):
+                checks[i] = "skipped"
+                continue
             word = sequences.family_braid(family, row.n)
-            if len(word.letters) != row.crossings:
+            if (word.strands, len(word.letters)) != (row.strands, row.crossings):
                 checks[i] = "differ"
                 continue
-            try:
-                record = compute_invariant(word, cocycle.quandle, cocycle, budget=args.budget, cache=cache)
-                checks[i] = "agree" if record.z.coeffs == row.z else "differ"
-            except BudgetExceededError:
-                checks[i] = "skipped"
+            record = compute_invariant(word, cocycle.quandle, cocycle, budget=args.budget, cache=cache)
+            checks[i] = "agree" if record.z.coeffs == row.z else "differ"
 
     report = None
     if len(rows) >= 3:
@@ -351,38 +365,36 @@ def _cmd_family(args) -> int:
 
     one, t = build_cyclic_group(2).labels
     if args.format == "json":
-        payload = {
-            "family": str(family),
-            "points": [
-                {
-                    "n": n,
-                    "braid": text,
-                    "strands": strands,
-                    "crossings": crossings,
-                    "Z": {"group_labels": [one, t], "coeffs": [str(z[0]), str(z[1])]},
-                    "f": list(f),
-                    **({"check": check} if check is not None else {}),
-                }
-                for (n, strands, crossings, z, f), check, text in zip(rows, checks, family_texts(family, lo, hi))
-            ],
-            "limit_report": report.to_json() if report else None,
-        }
-        print(json.dumps(payload, sort_keys=True))
+        # The bytes of json.dumps(payload, sort_keys=True), written member by member:
+        # the texts hold only "B", "s", digits, ":", "^", "-" and spaces, which JSON
+        # never escapes; every f is finite (each member has 3 or more crossings), and
+        # JSON prints a float as its repr.  "limit_report" sorts before "points".
+        head = json.dumps({"family": str(family), "limit_report": report.to_json() if report else None}, sort_keys=True)
+        labels = json.dumps([one, t])
+        write = sys.stdout.write
+        write(head[:-1] + ', "points": [')
+        sep = ""
+        for (n, strands, crossings, z, f), check, text in zip(rows, checks, family_texts(family, lo, hi)):
+            cell = f'"check": "{check}", ' if check is not None else ""
+            write(
+                f'{sep}{{"Z": {{"coeffs": ["{z[0]}", "{z[1]}"], "group_labels": {labels}}}, "braid": "{text}", '
+                f'{cell}"crossings": {crossings}, "f": [{f[0]!r}, {f[1]!r}], "n": {n}, "strands": {strands}}}'
+            )
+            sep = ", "
+        write("]}\n")
     elif args.format == "csv":
-        header = ["family", "m", "n", "strands", "crossings", "z_1", "z_2", "f_1", "f_2"]
-        m = family.m if family.m is not None else ""
-        body = (
-            [family.kind, m, n, strands, crossings, z[0], z[1], _g17(f[0]), _g17(f[1])]
-            for n, strands, crossings, z, f in rows
-        )
-        if args.verify:
-            header.append("check")
-            body = (cells + [check] for cells, check in zip(body, checks))
-        writer = _csv_writer()
-        writer.writerow(header)
-        writer.writerows(body)
+        # the bytes csv.writer writes: no cell holds a comma, a quote or a newline,
+        # and the empty m cell never stands alone in a row
+        kind, m = family.kind, family.m if family.m is not None else ""
+        lines = ["family,m,n,strands,crossings,z_1,z_2,f_1,f_2" + (",check" if args.verify else "")]
+        lines += [
+            f"{kind},{m},{n},{strands},{crossings},{z[0]},{z[1]},{f[0]:.17g},{f[1]:.17g}"
+            + (f",{check}" if check is not None else "")
+            for (n, strands, crossings, z, f), check in zip(rows, checks)
+        ]
         if report:
-            print("# limit " + json.dumps(report.to_json(), sort_keys=True))
+            lines.append("# limit " + json.dumps(report.to_json(), sort_keys=True))
+        print("\n".join(lines))
     else:
         lines = [f"family {family}: n = {lo}..{hi}"]
         lines += [

@@ -27,7 +27,8 @@ or 2), one twist block per index; adjacent blocks never share a
 generator.  Block i is positive exactly when i % 2 equals the word's
 parity: 1 for Kn, Km, KPrime and KPrimeM, n % 2 for K0.  family_texts
 cuts each run's text as one slice out of a ladder string of block
-texts; only family_braid expands runs into letters.
+texts and yields one member's text at a time; only family_braid expands
+runs into letters.
 
 family_rows yields a range's closed forms (strands, crossings, Z and f)
 as plain rows; family_crossing_number, family_closed_Z and
@@ -136,20 +137,26 @@ def _ladder(texts: list[str], order: range) -> tuple[str, list[int], list[int]]:
     return " ".join([texts[i] for i in order]), start, end
 
 
-def family_texts(family: FamilyId, lo: int, hi: int) -> list[str]:
+def family_texts(family: FamilyId, lo: int, hi: int) -> Iterator[str]:
     """family_braid(family, n).canonical() for n = lo..hi, as slices of shared ladders.
 
     Each index's block text is formatted once per sign parity, up to the
     top index of member hi.  A ladder joins them along a run's direction:
     descending by 1, ascending by 1, or ascending by 2 from an odd or an
     even index.  Every run of every member is then one slice of a ladder.
+    The range is checked at the call; the texts are then yielded one
+    member at a time, so a caller that writes each as it comes holds one
+    member's text, not the range's.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad family range {lo}..{hi}")
+    return _texts(family, lo, hi)
+
+
+def _texts(family: FamilyId, lo: int, hi: int) -> Iterator[str]:
     k, top = _twist_exponent(family), _strands(family, hi) - 1
     texts: dict[int, list[str]] = {}  # parity -> text of block i at index i
     ladders: dict[tuple[int, int, int], tuple[str, list[int], list[int]]] = {}
-    members = []
     for n in range(lo, hi + 1):
         parity, runs = _runs(family, n)
         pieces = []
@@ -164,8 +171,7 @@ def family_texts(family: FamilyId, lo: int, hi: int) -> list[str]:
                 ladders[key] = _ladder(texts[parity], range(first, 0 if run.step < 0 else top + 1, run.step))
             text, start, end = ladders[key]
             pieces.append(text[start[run[0]] : end[run[-1]]])
-        members.append(f"B{_strands(family, n)}: " + " ".join(pieces))
-    return members
+        yield f"B{_strands(family, n)}: " + " ".join(pieces)
 
 
 def binomial_sums(m: int) -> tuple[int, int]:

@@ -1,8 +1,12 @@
 """Random words, small quandle tables, mirrors and Markov moves,
 single-coloring propagation, twist-block weights, letter-by-letter family
-words, Euclidean distance, a token-by-token braid parser and the slow
-reference builders and checks shared by the tests."""
+words, the generic family sweep writers, Euclidean distance, a
+token-by-token braid parser and the slow reference builders and checks
+shared by the tests."""
 
+import csv
+import io
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -10,8 +14,12 @@ from itertools import product
 
 from qcjkls import braid
 from qcjkls.braid import DEFAULT_BUDGET, BraidSyntaxError, BraidWord, BudgetExceededError, _kernel_mod
-from qcjkls.cocycle import Cocycle, CocycleError
+from qcjkls.cocycle import Cocycle, CocycleError, build_s4_cocycle
+from qcjkls.group_algebra import build_cyclic_group
+from qcjkls.invariant import cjkls_state_sum
+from qcjkls.limits import closed_form_limit, limit_estimate
 from qcjkls.quandle import AlexanderQuandleSpec, QuandleTable, ResidueRing, make_quandle
+from qcjkls.sequences import family_rows
 
 
 def random_word(rng, strands, runs, longest=3):
@@ -134,6 +142,60 @@ def reference_family_braid(family, n):
     if family.kind in ("KPrime", "KPrimeM"):
         return BraidWord(n + 1, tuple(_kprime_letters(n, k)))
     return BraidWord(2 * n, tuple(_pyramid_letters(n, k)))
+
+
+def reference_family_stdout(family, lo, hi, fmt, verify=False, budget=DEFAULT_BUDGET):
+    """The stdout of `family --format json|csv` written the generic way: the
+    whole payload dict through json.dumps, or every row through csv.writer.
+    The oracle for the streamed writers.  Texts come from the letter-by-letter
+    words, and --verify builds every member's letters and lets the scan's
+    budget refuse it."""
+    rows = list(family_rows(family, lo, hi))
+    checks = [None] * len(rows)
+    if verify:
+        cocycle = build_s4_cocycle()
+        for i, row in enumerate(rows):
+            word = reference_family_braid(family, row.n)
+            try:
+                z = cjkls_state_sum(word, cocycle.quandle, cocycle, budget=budget)
+                checks[i] = "agree" if z.coeffs == row.z else "differ"
+            except BudgetExceededError:
+                checks[i] = "skipped"
+    report = None
+    if len(rows) >= 3:
+        samples = [(row.n, row.f) for row in rows]
+        report = limit_estimate(samples, family=family, closed_form=closed_form_limit(family))
+    one, t = build_cyclic_group(2).labels
+    out = io.StringIO()
+    if fmt == "json":
+        payload = {
+            "family": str(family),
+            "points": [
+                {
+                    "n": row.n,
+                    "braid": reference_family_braid(family, row.n).canonical(),
+                    "strands": row.strands,
+                    "crossings": row.crossings,
+                    "Z": {"group_labels": [one, t], "coeffs": [str(row.z[0]), str(row.z[1])]},
+                    "f": list(row.f),
+                    **({"check": check} if check is not None else {}),
+                }
+                for row, check in zip(rows, checks)
+            ],
+            "limit_report": report.to_json() if report else None,
+        }
+        print(json.dumps(payload, sort_keys=True), file=out)
+        return out.getvalue()
+    writer = csv.writer(out, lineterminator="\n")
+    header = ["family", "m", "n", "strands", "crossings", "z_1", "z_2", "f_1", "f_2"]
+    writer.writerow(header + ["check"] if verify else header)
+    for row, check in zip(rows, checks):
+        cells = [family.kind, "" if family.m is None else family.m, row.n, row.strands, row.crossings, *row.z]
+        cells += [format(x, ".17g") for x in row.f]
+        writer.writerow(cells + [check] if verify else cells)
+    if report:
+        print("# limit " + json.dumps(report.to_json(), sort_keys=True), file=out)
+    return out.getvalue()
 
 
 def dihedral(n):

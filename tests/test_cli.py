@@ -3,9 +3,10 @@
 import json
 import sys
 import time
+import tracemalloc
 
 import pytest
-from _helpers import reference_family_braid
+from _helpers import reference_family_braid, reference_family_stdout
 
 from qcjkls import cli, sequences
 from qcjkls.cli import _parse_range, main
@@ -326,7 +327,7 @@ def test_family_json_texts_match_the_per_point_path(capsys):
     assert [p["n"] for p in points] == list(range(1, 51))
     for p in points:
         n = p["n"]
-        assert p["braid"] == sequences.family_texts(family, n, n)[0], n
+        assert p["braid"] == next(sequences.family_texts(family, n, n)), n
         assert p["braid"] == reference_family_braid(family, n).canonical(), n
 
 
@@ -338,10 +339,84 @@ def test_family_verify_builds_letters(capsys, monkeypatch):
         return reference_family_braid(family, n)
 
     monkeypatch.setattr(sequences, "family_braid", counting)
-    code, out, err = run(capsys, SWEEP + ["--verify", "--budget", "1", "--format", "csv"])
+    # 4^6 tuples: the budget admits members of at most 6 strands, n = 1..5
+    code, out, err = run(capsys, SWEEP + ["--verify", "--budget", "4096", "--format", "csv"])
     assert code == 0
-    assert calls == list(range(1, 51))
-    assert all(line.endswith(",skipped") for line in out.splitlines()[1:51])
+    assert calls == [1, 2, 3, 4, 5]
+    rows = out.splitlines()[1:51]
+    assert all(line.endswith(",agree") for line in rows[:5])
+    assert all(line.endswith(",skipped") for line in rows[5:])
+
+
+def test_family_verify_skips_members_without_building_letters(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("family_braid called for a member that cannot be scanned")
+
+    monkeypatch.setattr(sequences, "family_braid", refuse)
+    # Km:10^8 has about 6*10^8 letters at n = 1, above MAX_LETTERS on 2 strands;
+    # K0 n=1000 has 3,002,997 letters on 2000 strands, far above both caps
+    for argv, members in ((["family", "Km:100000000", "--n", "1..2"], 2), (["family", "K0", "--n", "1000"], 1)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv + ["--verify"])
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, err) == (0, ""), argv
+        lines = out.splitlines()[1 : 1 + members]
+        assert len(lines) == members and all(line.endswith(" check=skipped") for line in lines), argv
+
+
+def test_family_json_caps_the_blocks_of_a_range(capsys, monkeypatch):
+    # Kn member n has 2n - 1 blocks, so n = 1..32 sums to 32^2 and 1..33 to 33^2
+    monkeypatch.setattr(cli, "MAX_BLOCKS", 1024)
+    code, out, err = run(capsys, ["family", "Kn", "--n", "1..32", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["points"]) == 32
+    code, out, err = run(capsys, ["family", "Kn", "--n", "1..33", "--format", "json"])
+    assert (code, out) == (2, "")
+    assert "1089 twist blocks" in err and "cap of 1024" in err and "Traceback" not in err
+    for fmt in ("pretty", "csv"):  # they print no words
+        code, out, err = run(capsys, ["family", "Kn", "--n", "1..33", "--format", fmt])
+        assert (code, err) == (0, ""), fmt
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("family", ["Kn", "KPrime", "K0", "Km:1", "Km:40", "KPrimeM:2"])
+def test_family_writers_match_the_generic_writers(capsys, family, fmt):
+    # 4^4 tuples: members of up to 4 strands agree, the rest are skipped
+    budget = 4**4
+    for n in ("3", "3..4", "1..60", "7..40"):
+        lo, hi = _parse_range(n)
+        for verify in (False, True):
+            argv = ["family", family, "--n", n, "--format", fmt] + (["--verify", "--budget", str(budget)] if verify else [])
+            code, out, err = run(capsys, argv)
+            assert (code, err) == (0, ""), argv
+            expected = reference_family_stdout(sequences.parse_family_id(family), lo, hi, fmt, verify, budget)
+            assert out == expected, argv
+            if verify and n == "1..60":
+                assert "agree" in out and "skipped" in out, argv
+
+
+def test_family_json_holds_one_member_at_a_time(monkeypatch):
+    class CountingSink:
+        written = 0
+
+        def write(self, text):
+            self.written += len(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["family", "K0", "--n", "1..120", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.written > 4 * 10**6
+    assert peak < sink.written / 4, (peak, sink.written)
 
 
 @pytest.mark.parametrize("fmt", ["pretty", "csv"])

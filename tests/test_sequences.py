@@ -67,7 +67,7 @@ def test_family_row_text_comes_from_blocks():
             # no merge across blocks, so the block text is the merged-run text
             assert all(a != b for a, b in zip(blocks, blocks[1:])), (family, n)
             word, (row,) = family_braid(family, n), family_rows(family, n, n)
-            assert (family_texts(family, n, n)[0], row.strands) == (word.canonical(), word.strands), (family, n)
+            assert (next(family_texts(family, n, n)), row.strands) == (word.canonical(), word.strands), (family, n)
 
 
 _LN2, _LN3 = math.log(2.0), math.log(3.0)
@@ -134,12 +134,12 @@ def test_family_rows_refuse_index_zero_and_may_be_empty():
 def test_family_texts_match_letter_oracle():
     for family, max_n in ORACLE_CASES:
         expected = [reference_family_braid(family, n).canonical() for n in range(1, max_n + 1)]
-        assert family_texts(family, 1, max_n) == expected, family
+        assert list(family_texts(family, 1, max_n)) == expected, family
         # one member at a time, and ranges starting above 1 (K0: at both parities)
         for lo in range(1, max_n + 1):
-            assert family_texts(family, lo, lo) == [expected[lo - 1]], (family, lo)
+            assert list(family_texts(family, lo, lo)) == [expected[lo - 1]], (family, lo)
         for lo, hi in ((2, 9), (3, 17), (max_n // 2, max_n), (max_n - 1, max_n)):
-            assert family_texts(family, lo, hi) == expected[lo - 1 : hi], (family, lo, hi)
+            assert list(family_texts(family, lo, hi)) == expected[lo - 1 : hi], (family, lo, hi)
 
 
 def test_family_texts_refuse_bad_ranges():
@@ -257,7 +257,7 @@ def test_family_row_bundles_fields():
     (p,) = family_rows(KN, 2, 2)
     assert p.n == 2
     assert family_braid(KN, p.n).canonical() == "B3: s2^-3 s1^3 s2^-3"
-    assert family_texts(KN, 2, 2)[0] == "B3: s2^-3 s1^3 s2^-3"
+    assert next(family_texts(KN, 2, 2)) == "B3: s2^-3 s1^3 s2^-3"
     assert p.strands == 3
     assert p.crossings == 9
     assert p.z == (16, 48)
