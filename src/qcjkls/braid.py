@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, compress, product, repeat, starmap
 from math import gcd
-from operator import itemgetter, ne, not_, sub
+from operator import eq, itemgetter, not_
 
 from .cocycle import Cocycle, verify_cocycle
 from .quandle import AlexanderQuandleSpec, QuandleTable, build_alexander_quandle, verify_quandle_axioms
@@ -71,12 +71,28 @@ class BraidWord:
             first = next(l for l in letters if l in bad)
             raise ValueError(f"letter {first} is not a generator of the {self.strands}-strand braid group")
 
+    @classmethod
+    def _from_runs(cls, strands: int, runs: tuple[tuple[int, int], ...]) -> BraidWord:
+        """The word spelled by maximal runs (letter, count), which become its ``runs``.
+
+        Nothing is checked: the caller vouches that strands >= 2, that
+        every letter is a generator on that many strands, that every
+        count is at least 1 and that adjacent runs differ in letter.
+        """
+        word = object.__new__(cls)
+        object.__setattr__(word, "strands", strands)
+        object.__setattr__(word, "letters", tuple(chain.from_iterable(starmap(repeat, runs))))
+        word.__dict__["runs"] = runs
+        return word
+
     @cached_property
     def runs(self) -> tuple[tuple[int, int], ...]:
-        """Maximal equal-letter runs as (letter, length) pairs, in word order."""
-        letters, n = self.letters, len(self.letters)
-        starts = [0, *compress(range(1, n), map(ne, letters, letters[1:]))] if n else []
-        return tuple(zip(map(letters.__getitem__, starts), map(sub, starts[1:] + [n], starts)))
+        """Maximal equal-letter runs as (letter, length) pairs, in word order.
+
+        A word from parse_braid or family_braid carries the runs it was
+        built from; one built from letters merges its one-letter runs here.
+        """
+        return _maximal_runs(list(zip(self.letters, repeat(1))))
 
     def canonical(self) -> str:
         """Serialize as "B<s>: s<i>^<e> ...", merging maximal equal-letter runs; exponent 1 is left out."""
@@ -114,6 +130,22 @@ def _read_token(token: str, declared: int | None, at: int) -> tuple[int, int]:
     return (index if exponent > 0 else -index), abs(exponent)
 
 
+def _maximal_runs(runs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The (letter, count) runs with adjacent runs of one letter merged, as in "s1 s1^2"."""
+    letters = list(map(itemgetter(0), runs))
+    if not any(map(eq, letters, letters[1:])):
+        return tuple(runs)
+    merged: list[tuple[int, int]] = []
+    last = 0
+    for letter, k in runs:
+        if letter == last:
+            merged[-1] = (letter, merged[-1][1] + k)
+        else:
+            merged.append((letter, k))
+            last = letter
+    return tuple(merged)
+
+
 def parse_braid(text: str) -> BraidWord:
     """Parse "s1^3", "s2^-3 s1^3 s2^-3", or "B4: s1 s3^-2" into a BraidWord.
 
@@ -121,8 +153,11 @@ def parse_braid(text: str) -> BraidWord:
     largest generator index.  Exponent 0, numerals with more digits than
     MAX_LETTERS and words of more than MAX_LETTERS letters are rejected;
     syntax errors report a character position.  The body is split once
-    and each distinct token read once; only a text that fails a check
-    is walked token by token, to find the first problem's position.
+    and each distinct token read once, as a (letter, count) run checked
+    against the strand count; only a text that fails a check is walked
+    token by token, to find the first problem's position.  Adjacent
+    runs of one letter merge, and the word is built from the maximal
+    runs: its letters are expanded once and not checked again.
     """
     prefix = _PREFIX.match(text)
     declared = None
@@ -144,7 +179,7 @@ def parse_braid(text: str) -> BraidWord:
     runs = list(map(read.get, tokens))
     if None not in runs and (declared or runs) and sum(map(itemgetter(1), runs)) <= MAX_LETTERS:
         strands = declared or max(abs(letter) for letter, _ in read.values()) + 1
-        return BraidWord(strands, tuple(chain.from_iterable(starmap(repeat, runs))))
+        return BraidWord._from_runs(strands, _maximal_runs(runs))
 
     total = 0
     for token in re.compile(r"\S+").finditer(text, start):
@@ -300,6 +335,28 @@ def _run(tables: ScanTables, sign: int, k: int) -> tuple[bytes, bytes]:
     return pairs, weights
 
 
+@lru_cache
+def _compiled_run(tables: ScanTables, sign: int, k: int):
+    """The packed-scan step (kind, table, weight table) of k >= 1 letters of one sign.
+
+    None for a run that fixes every pair with the identity weight; see
+    _compile_steps.  Like _run, the memo keeps the most recently used runs.
+    """
+    pairs, weights = _run(tables, sign, k)
+    if weights.count(tables.identity) == 256:
+        weights = None
+    if k == 1:
+        pairs = pairs.translate(_RIGHT if sign > 0 else _LEFT)
+        if weights is not None:
+            pairs = _pack(weights, pairs)
+            weights = tables.gmul_swapped
+    elif pairs == _IDENTITY:
+        if weights is None:
+            return None
+        pairs = None
+    return (0 if k > 1 else sign, pairs, weights)
+
+
 def _compile_steps(runs, tables: ScanTables):
     """Packed-scan steps (left lane, kind, table, weight table), one per run.
 
@@ -312,24 +369,41 @@ def _compile_steps(runs, tables: ScanTables):
     high nibble of its table's output, so one translate gives both, and
     its weight table is tables.gmul_swapped, which multiplies it in.
     A run that fixes every pair with the identity weight is left out.
+    Each run's step comes from the memo _compiled_run; its lane is
+    attached here.
     """
     steps = []
     for letter, k in runs:
-        sign = 1 if letter > 0 else -1
-        pairs, weights = _run(tables, sign, k)
-        if weights.count(tables.identity) == 256:
-            weights = None
-        if k == 1:
-            pairs = pairs.translate(_RIGHT if sign > 0 else _LEFT)
-            if weights is not None:
-                pairs = _pack(weights, pairs)
-                weights = tables.gmul_swapped
-        elif pairs == _IDENTITY:
-            if weights is None:
-                continue
-            pairs = None
-        steps.append((abs(letter) - 1, 0 if k > 1 else sign, pairs, weights))
+        step = _compiled_run(tables, 1 if letter > 0 else -1, k)
+        if step is not None:
+            steps.append((abs(letter) - 1, *step))
     return steps
+
+
+@lru_cache
+def _state_table(tables: ScanTables, strands: int, letter: int, k: int) -> bytes:
+    """The 256-byte table of _scan_states that takes every colored state through letter^k.
+
+    Built from the run's two-lane tables (_run) by carry-free arithmetic
+    on columns of state bytes.  Like _run, the memo keeps the most
+    recently used runs, so many distinct runs stay bounded.
+    """
+    q, s = tables.quandle.size, strands
+    order = tables.cocycle.group.order if tables.cocycle is not None else 1
+    n, size = q**s, order * q**s
+    hi, lo = q ** (s - abs(letter)), q ** (s - 1 - abs(letter))
+    x, y = _column(q, hi, size), _column(q, lo, size)  # the colors of the run's two lanes
+    times_n = (int.from_bytes(tables.gmul, "little") * n).to_bytes(256, "little")
+    index = int.from_bytes(bytes(range(n)) * order, "little")
+    weight = _column(order, n, size) << 4
+    low = int.from_bytes(b"\x0f" * size, "little")
+    pairs = (x << 4 | y).to_bytes(size, "little")
+    moves, weights = _run(tables, 1 if letter > 0 else -1, k)
+    moved = int.from_bytes(pairs.translate(moves), "little")
+    key = (weight | int.from_bytes(pairs.translate(weights), "little")).to_bytes(size, "little")
+    # each byte stays in [0, size), so no sum or difference carries between bytes
+    state = int.from_bytes(key.translate(times_n), "little") + index - x * hi - y * lo
+    return (state + (moved >> 4 & low) * hi + (moved & low) * lo).to_bytes(256, "little")
 
 
 def _scan_states(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None):
@@ -340,28 +414,14 @@ def _scan_states(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
     states, built from its two-lane tables by carry-free arithmetic on
     columns of state bytes, so the word is one bytes.translate per run
     of the identity-weight states.  Tuple i closes up with weight g where
-    its final state is g * q**s + i.
+    its final state is g * q**s + i.  The tables come from the memo
+    _state_table, looked up once per distinct run of the word.
     """
     q, s = quandle.size, word.strands
     order, identity = (cocycle.group.order, cocycle.group.identity) if cocycle is not None else (1, 0)
-    n, size = q**s, order * q**s
+    n = q**s
     tables = _scan_tables(quandle, cocycle)
-    times_n = (int.from_bytes(tables.gmul, "little") * n).to_bytes(256, "little")
-    index = int.from_bytes(bytes(range(n)) * order, "little")
-    weight = _column(order, n, size) << 4
-    low = int.from_bytes(b"\x0f" * size, "little")
-    digits = [_column(q, q ** (s - 1 - j), size) for j in range(s)]
-    steps = {}
-    for letter, k in set(word.runs):
-        a = abs(letter) - 1
-        hi, lo, x, y = q ** (s - 1 - a), q ** (s - 2 - a), digits[a], digits[a + 1]
-        pairs = (x << 4 | y).to_bytes(size, "little")
-        moves, weights = _run(tables, 1 if letter > 0 else -1, k)
-        moved = int.from_bytes(pairs.translate(moves), "little")
-        key = (weight | int.from_bytes(pairs.translate(weights), "little")).to_bytes(size, "little")
-        # each byte stays in [0, size), so no sum or difference carries between bytes
-        state = int.from_bytes(key.translate(times_n), "little") + index - x * hi - y * lo
-        steps[letter, k] = (state + (moved >> 4 & low) * hi + (moved & low) * lo).to_bytes(256, "little")
+    steps = {run: _state_table(tables, s, *run) for run in set(word.runs)}
     start = bytes(range(identity * n, identity * n + n))
     final = int.from_bytes(reduce(bytes.translate, map(steps.__getitem__, word.runs), start), "little")
     diffs = [(final ^ int.from_bytes(bytes(range(g * n, g * n + n)), "little")).to_bytes(n, "little") for g in range(order)]
@@ -706,5 +766,11 @@ def is_reduced_closure(word: BraidWord) -> bool:
       one crossing leaves each lane's crossings as a path.  Every pair
       of neighbouring lanes still shares a crossing, so nothing is cut.
     - The empty word is reduced, and crossing-free lanes add no vertex.
+
+    A generator's count is the sum of its run lengths, so the check
+    costs the word's runs, not its letters.
     """
-    return 1 not in Counter(map(abs, word.letters)).values()
+    counts: dict[int, int] = {}
+    for letter, k in word.runs:
+        counts[abs(letter)] = counts.get(abs(letter), 0) + k
+    return 1 not in counts.values()

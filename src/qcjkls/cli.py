@@ -90,6 +90,8 @@ MAX_INDEX = 10**5
 # Cap on the twist blocks the words of a `family --format json` range sum to:
 # K0's words grow as n^2, so the output of a range grows as n^3 inside MAX_SAMPLES.
 MAX_BLOCKS = 2 * 10**7
+# Rows a pretty or CSV family sweep formats and writes at a time.
+BATCH_ROWS = 256
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -312,6 +314,13 @@ def _cmd_colorings(args) -> int:
     return 0
 
 
+def _batches(rows, checks):
+    """zip(rows, checks) in slices of BATCH_ROWS: a pretty or CSV sweep formats and
+    writes one slice's lines at a time, so it never holds the lines of the whole range."""
+    for at in range(0, len(rows), BATCH_ROWS):
+        yield zip(rows[at : at + BATCH_ROWS], checks[at : at + BATCH_ROWS])
+
+
 def _cmd_family(args) -> int:
     family = parse_family_id(args.id)
     lo, hi = _parse_range(args.n)
@@ -364,6 +373,7 @@ def _cmd_family(args) -> int:
         )
 
     one, t = build_cyclic_group(2).labels
+    write = sys.stdout.write
     if args.format == "json":
         # The bytes of json.dumps(payload, sort_keys=True), written member by member:
         # the texts hold only "B", "s", digits, ":", "^", "-" and spaces, which JSON
@@ -371,7 +381,6 @@ def _cmd_family(args) -> int:
         # JSON prints a float as its repr.  "limit_report" sorts before "points".
         head = json.dumps({"family": str(family), "limit_report": report.to_json() if report else None}, sort_keys=True)
         labels = json.dumps([one, t])
-        write = sys.stdout.write
         write(head[:-1] + ', "points": [')
         sep = ""
         for (n, strands, crossings, z, f), check, text in zip(rows, checks, family_texts(family, lo, hi)):
@@ -386,25 +395,25 @@ def _cmd_family(args) -> int:
         # the bytes csv.writer writes: no cell holds a comma, a quote or a newline,
         # and the empty m cell never stands alone in a row
         kind, m = family.kind, family.m if family.m is not None else ""
-        lines = ["family,m,n,strands,crossings,z_1,z_2,f_1,f_2" + (",check" if args.verify else "")]
-        lines += [
-            f"{kind},{m},{n},{strands},{crossings},{z[0]},{z[1]},{f[0]:.17g},{f[1]:.17g}"
-            + (f",{check}" if check is not None else "")
-            for (n, strands, crossings, z, f), check in zip(rows, checks)
-        ]
+        write("family,m,n,strands,crossings,z_1,z_2,f_1,f_2" + (",check" if args.verify else "") + "\n")
+        for batch in _batches(rows, checks):
+            write("".join([
+                f"{kind},{m},{n},{strands},{crossings},{z[0]},{z[1]},{f[0]:.17g},{f[1]:.17g}"
+                f"{'' if check is None else ',' + check}\n"
+                for (n, strands, crossings, z, f), check in batch
+            ]))
         if report:
-            lines.append("# limit " + json.dumps(report.to_json(), sort_keys=True))
-        print("\n".join(lines))
+            write("# limit " + json.dumps(report.to_json(), sort_keys=True) + "\n")
     else:
-        lines = [f"family {family}: n = {lo}..{hi}"]
-        lines += [
-            f"n={n} strands={strands} crossings={crossings} Z={z[0]}*{one} + {z[1]}*{t} f=({f[0]!r}, {f[1]!r})"
-            + (f" check={check}" if check is not None else "")
-            for (n, strands, crossings, z, f), check in zip(rows, checks)
-        ]
+        write(f"family {family}: n = {lo}..{hi}\n")
+        for batch in _batches(rows, checks):
+            write("".join([
+                f"n={n} strands={strands} crossings={crossings} Z={z[0]}*{one} + {z[1]}*{t} f=({f[0]!r}, {f[1]!r})"
+                f"{'' if check is None else ' check=' + check}\n"
+                for (n, strands, crossings, z, f), check in batch
+            ]))
         if report:
-            lines.append(_format_report(report))
-        print("\n".join(lines))
+            write(_format_report(report) + "\n")
 
     return 1 if "differ" in checks else 0
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 
 from .group_algebra import AbelianGroup, build_cyclic_group
@@ -42,6 +42,11 @@ class Cocycle:
         }
 
     def content_hash(self) -> str:
+        """sha256 of the quandle's hash, the group's order and labels and the table; computed once per object."""
+        return self._content_hash
+
+    @cached_property
+    def _content_hash(self) -> str:
         blob = json.dumps(
             {
                 "quandle": self.quandle.content_hash(),

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import gcd
 from pathlib import Path
 
@@ -58,6 +58,11 @@ class QuandleTable:
         }
 
     def content_hash(self) -> str:
+        """sha256 of the canonical JSON of the table and labels; computed once per object."""
+        return self._content_hash
+
+    @cached_property
+    def _content_hash(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -28,7 +28,7 @@ generator.  Block i is positive exactly when i % 2 equals the word's
 parity: 1 for Kn, Km, KPrime and KPrimeM, n % 2 for K0.  family_texts
 cuts each run's text as one slice out of a ladder string of block
 texts and yields one member's text at a time; only family_braid expands
-runs into letters.
+runs into letters, and its word keeps its blocks as its runs.
 
 family_rows yields a range's closed forms (strands, crossings, Z and f)
 as plain rows; family_crossing_number, family_closed_Z and
@@ -120,9 +120,13 @@ def _twist_exponent(family: FamilyId) -> int:
 
 
 def family_braid(family: FamilyId, n: int) -> BraidWord:
-    """The n-th braid word of the family (n >= 1): each block repeated k times."""
+    """The n-th braid word of the family (n >= 1): each block repeated k times.
+
+    Adjacent blocks never share a generator, so the blocks are the
+    word's maximal runs, and the word is built from them.
+    """
     blocks, k = _blocks(family, n), _twist_exponent(family)
-    return BraidWord(_strands(family, n), tuple(chain.from_iterable(repeat(b, k) for b in blocks)))
+    return BraidWord._from_runs(_strands(family, n), tuple(zip(blocks, repeat(k))))
 
 
 def _ladder(texts: list[str], order: range) -> tuple[str, list[int], list[int]]:

@@ -10,7 +10,8 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
+from operator import ne, sub
 
 from qcjkls import braid
 from qcjkls.braid import DEFAULT_BUDGET, BraidSyntaxError, BraidWord, BudgetExceededError, _kernel_mod
@@ -20,6 +21,13 @@ from qcjkls.invariant import cjkls_state_sum
 from qcjkls.limits import closed_form_limit, limit_estimate
 from qcjkls.quandle import AlexanderQuandleSpec, QuandleTable, ResidueRing, make_quandle
 from qcjkls.sequences import family_rows
+
+
+def reference_runs(letters) -> tuple[tuple[int, int], ...]:
+    """Maximal equal-letter runs derived from the letters alone: the oracle for BraidWord.runs."""
+    n = len(letters)
+    starts = [0, *compress(range(1, n), map(ne, letters, letters[1:]))] if n else []
+    return tuple(zip(map(letters.__getitem__, starts), map(sub, starts[1:] + [n], starts)))
 
 
 def random_word(rng, strands, runs, longest=3):

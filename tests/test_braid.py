@@ -3,6 +3,7 @@ and the closure diagram checks (alternating, reduced)."""
 
 import random
 import time
+from collections import Counter
 from itertools import groupby, product
 from math import gcd
 
@@ -18,6 +19,7 @@ from _helpers import (
     reference_affine_colorings,
     reference_parse_braid,
     reference_reduced,
+    reference_runs,
 )
 
 from qcjkls import braid
@@ -199,6 +201,50 @@ def test_parse_matches_token_by_token_reference(monkeypatch, max_letters):
         words += isinstance(outcome[1], tuple)
         errors += isinstance(outcome[1], int)
     assert min(words, errors) >= 500, (words, errors)
+
+
+def _spelling(rng, index, exponent):
+    """One token for s<index>^<exponent>, spelled with optional zeros, signs and exponent 1."""
+    text = "s" + "0" * rng.choice((0, 0, 0, 1, 3)) + str(index)
+    if exponent == 1 and rng.random() < 0.5:
+        return text
+    sign = "-" if exponent < 0 else rng.choice(("", "", "+"))
+    return f"{text}^{sign}" + "0" * rng.choice((0, 0, 0, 1, 3)) + str(abs(exponent))
+
+
+def test_parsed_runs_match_the_letters():
+    # adjacent equal tokens and tokens of one letter spelled apart ("s1 s1^1 s01^+2"), with
+    # and without a strand prefix: the word equals the one built from its letters, and its
+    # runs are the maximal runs those letters spell
+    rng = random.Random(2020)
+    texts = ["s1 s1^1 s01^+2 s2^-1 s2^-1 s1", "B4: s1 s1 s3^-1 s3^-1 s2 s2^1", "B13: s12 s12^1 s2^-0003", "B5:"]
+    for _ in range(3000):
+        strands = rng.randint(2, 13)
+        tokens = []
+        for _ in range(rng.randint(0, 12)):
+            if tokens and rng.random() < 0.4:
+                index = tokens[-1][0]  # the previous token's generator, of either sign
+            else:
+                index = rng.randint(1, strands - 1)
+            tokens.append((index, rng.choice((1, -1)) * rng.choice((1, 1, 2, 3, 11))))
+        body = " ".join(_spelling(rng, *token) for token in tokens)
+        texts.append(f"B{strands}: {body}" if rng.random() < 0.5 or not tokens else body)
+    merged = 0
+    for text in texts:
+        word, expected = parse_braid(text), reference_parse_braid(text)
+        built = BraidWord(expected.strands, expected.letters)
+        assert word == built and hash(word) == hash(built), text
+        assert word.runs == reference_runs(built.letters) == built.runs, text
+        assert word.canonical() == built.canonical(), text
+        merged += len(word.runs) < len(text.split(":")[-1].split())
+    assert merged >= 1000, merged
+
+
+def test_parsed_word_letters_are_plain_ints():
+    word = parse_braid("B3: s01^+2 s2^-0003")
+    assert word.letters == (1, 1, -2, -2, -2)
+    assert all(type(letter) is int for letter in word.letters)
+    assert word.runs == ((1, 2), (-2, 3))
 
 
 def test_braid_word_validation():
@@ -547,6 +593,20 @@ def test_closure_checks_match_references_on_random_words():
             covered[kind] += present
     assert verdicts == {False, True}
     assert min(covered.values()) >= 100, covered
+
+
+def test_reduced_by_runs_matches_the_letter_count():
+    # the per-letter rule: no generator occurs exactly once, on words from letters and from texts
+    rng = random.Random(5150)
+    verdicts = set()
+    for _ in range(3000):
+        strands = rng.randint(2, 7)
+        w = random_word(rng, strands, rng.randint(0, 8), longest=rng.choice((1, 2, 4)))
+        expected = 1 not in Counter(map(abs, w.letters)).values()
+        parsed = parse_braid(w.canonical())
+        assert is_reduced_closure(w) == is_reduced_closure(parsed) == expected, w.canonical()
+        verdicts.add(expected)
+    assert verdicts == {False, True}
 
 
 def test_reduced_matches_reference_on_sparse_generator_pools():

@@ -419,6 +419,60 @@ def test_family_json_holds_one_member_at_a_time(monkeypatch):
     assert peak < sink.written / 4, (peak, sink.written)
 
 
+class _Sink:
+    """A stdout that counts the characters written, and keeps each write if asked."""
+
+    def __init__(self, keep=False):
+        self.writes, self.written, self.keep = [], 0, keep
+
+    def write(self, text):
+        self.written += len(text)
+        if self.keep:
+            self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "csv"])
+def test_pretty_and_csv_sweeps_write_in_batches(capsys, monkeypatch, fmt):
+    # 11 members with checks: the head, then ceil(11 / BATCH_ROWS) batches, then the limit report
+    argv = ["family", "KPrime", "--n", "2..12", "--verify", "--budget", str(4**5), "--format", fmt]
+    monkeypatch.setattr(cli, "BATCH_ROWS", 10**6)
+    code, whole, err = run(capsys, argv)
+    assert (code, err) == (0, "") and "agree" in whole and "skipped" in whole
+    if fmt == "csv":
+        assert whole == reference_family_stdout(sequences.parse_family_id("KPrime"), 2, 12, fmt, True, 4**5)
+    for size in (1, 3, 11, 12):
+        monkeypatch.setattr(cli, "BATCH_ROWS", size)
+        sink = _Sink(keep=True)
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(argv) == 0
+        assert "".join(sink.writes) == whole, size
+        assert len(sink.writes) == 2 + -(-11 // size), size
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "csv"])
+def test_pretty_and_csv_sweeps_hold_one_batch_of_lines(monkeypatch, fmt):
+    # the rows, each with its Z, stay for the limit report; the lines printed from them do not
+    monkeypatch.setattr(cli, "BATCH_ROWS", 16)
+    tracemalloc.start()
+    try:
+        rows = list(sequences.family_rows(sequences.FamilyId("Kn"), 1, 2000))
+        rows_peak = tracemalloc.get_traced_memory()[1]
+        del rows
+        tracemalloc.reset_peak()
+        sink = _Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        code = main(["family", "Kn", "--n", "1..2000", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.written > 2 * 10**6
+    assert peak < rows_peak + sink.written / 2, (peak, rows_peak, sink.written)
+
+
 @pytest.mark.parametrize("fmt", ["pretty", "csv"])
 def test_family_sweep_body_is_the_single_member_bodies(capsys, fmt):
     # pretty: a head line, then one line per member, then the limit report (3+ members);

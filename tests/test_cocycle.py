@@ -3,6 +3,8 @@
 import pytest
 from _helpers import twist_block_weight
 
+import qcjkls.cocycle
+import qcjkls.quandle
 from qcjkls.cocycle import (
     Cocycle,
     CocycleError,
@@ -98,6 +100,19 @@ def test_json_round_trip(tmp_path):
     assert loaded.quandle.op == c.quandle.op
     assert loaded.group.order == 2
     assert loaded.content_hash() == c.content_hash()
+
+
+def test_content_hashes_are_computed_once_per_object(monkeypatch):
+    fresh = lambda: Cocycle(make_quandle(build_s4().op), build_cyclic_group(2), PHI_TABLE)
+    c = fresh()
+    expected = (c.quandle.content_hash(), c.content_hash())
+    # a second call hashes nothing: with hashlib gone from both modules it still answers
+    monkeypatch.setattr(qcjkls.quandle, "hashlib", None)
+    monkeypatch.setattr(qcjkls.cocycle, "hashlib", None)
+    assert (c.quandle.content_hash(), c.content_hash()) == expected
+    monkeypatch.undo()
+    other = fresh()
+    assert other == c and (other.quandle.content_hash(), other.content_hash()) == expected
 
 
 def test_json_quandle_by_relative_path(tmp_path):

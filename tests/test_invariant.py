@@ -506,13 +506,14 @@ def test_dense_colorings_are_scanned_not_mapped(monkeypatch):
 
 
 # ---------------------------------------------------------- scan table memos
-# _scan_tables and _run keep the tables of recent pairs and runs; each test clears
-# them first, so it does not depend on which scans ran before it.
+# _scan_tables, _run, _compiled_run and _state_table keep the tables of recent pairs
+# and runs; each test clears them first, so it does not depend on which scans ran before it.
+_SCAN_MEMOS = (braid._scan_tables, braid._run, braid._compiled_run, braid._state_table)
 
 
 def _clear_scan_memos():
-    braid._scan_tables.cache_clear()
-    braid._run.cache_clear()
+    for memo in _SCAN_MEMOS:
+        memo.cache_clear()
 
 
 def test_a_loaded_pair_shares_the_tables_of_the_built_in_pair(tmp_path):
@@ -545,20 +546,59 @@ def test_a_second_invariant_command_builds_no_run_tables(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_a_second_invariant_command_builds_no_state_table(capsys, monkeypatch):
+    _clear_scan_memos()
+    monkeypatch.delenv("QCJKLS_CACHE", raising=False)
+    assert main(["invariant", "B3: s1^2 s2^-7 s1"]) == 0
+    built = braid._state_table.cache_info().misses
+    assert built == 3  # the byte-state scan of 2 * 4^3 colored states, one table per distinct run
+    assert main(["invariant", "B3: s1 s2^-7 s1^2 s2^-7"]) == 0  # the same runs in another order
+    assert main(["invariant", "B3: s1^2 s2^-7 s1"]) == 0
+    assert braid._state_table.cache_info().misses == built
+    capsys.readouterr()
+
+
+def test_memoized_run_tables_equal_fresh_builds():
+    _clear_scan_memos()
+    rng = random.Random(77)
+    q, group = build_s4(), build_cyclic_group(2)
+    pairs = [(q, None), (q, build_s4_cocycle()), (q, Cocycle(q, group, _random_cocycle_table(rng, q, group)))]
+    for quandle, cocycle in pairs:
+        tables = braid._scan_tables(quandle, cocycle)
+        for strands, letter, k in [(2, 1, 1), (3, -2, 5), (3, 1, 3), (4, 3, 2), (4, -1, 13)]:
+            if (2 if cocycle else 1) * 4**strands <= braid.STATES_MAX:
+                memoized = braid._state_table(tables, strands, letter, k)
+                assert braid._state_table(tables, strands, letter, k) is memoized
+                assert memoized == braid._state_table.__wrapped__(tables, strands, letter, k)
+            sign = 1 if letter > 0 else -1
+            step = braid._compiled_run(tables, sign, k)
+            assert braid._compiled_run(tables, sign, k) is step
+            assert step == braid._compiled_run.__wrapped__(tables, sign, k)
+    # the memos hold what a scan with nothing memoized computes
+    word = parse_braid("B3: s2^-5 s1^3 s2^-5 s1")
+    memoized = [braid._scan_states(word, q, cocycle) for _, cocycle in pairs]
+    _clear_scan_memos()
+    assert [braid._scan_states(word, q, cocycle) for _, cocycle in pairs] == memoized
+    assert memoized == [_scan_tuples(word, q, cocycle) for _, cocycle in pairs]
+
+
 def test_scan_memos_stay_bounded():
-    # 1000 words with distinct exponents over 200 distinct pairs: more than either memo keeps
+    # 1000 words with distinct exponents over 200 distinct pairs: more than any memo keeps.
+    # The 3-strand words take the byte-state scan, the 5-strand ones the packed scan.
     _clear_scan_memos()
     rng = random.Random(1000)
     q, group = build_s4(), build_cyclic_group(2)
     cocycles = [Cocycle(q, group, _random_cocycle_table(rng, q, group)) for _ in range(200)]
     for k in range(1, 1001):
         cjkls_state_sum(parse_braid(f"B3: s1^{k} s2^-{k + 1}"), q, cocycles[k % 200])
-    for memo in (braid._scan_tables, braid._run):
+        if k % 4 == 0:
+            cjkls_state_sum(parse_braid(f"B5: s1^{k} s4^-{k + 1}"), q, cocycles[k % 200])
+    for memo in _SCAN_MEMOS:
         info = memo.cache_info()
         assert info.currsize <= info.maxsize < info.misses, (memo, info)
     # tables and runs that were dropped are rebuilt exactly
-    word = parse_braid("B3: s1^7 s2^-9 s1^-2")
-    assert braid._scan(word, q, cocycles[1], 10**9) == _scan_tuples(word, q, cocycles[1])
+    for word in (parse_braid("B3: s1^7 s2^-9 s1^-2"), parse_braid("B5: s1^7 s4^-9 s2^-2 s3")):
+        assert braid._scan(word, q, cocycles[1], 10**9) == _scan_tuples(word, q, cocycles[1])
 
 
 # ---------------------------------------------------------- cache robustness

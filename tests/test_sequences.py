@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from _helpers import reference_family_braid
+from _helpers import reference_family_braid, reference_runs
 from qcjkls.braid import is_alternating_closure, is_reduced_closure
 from qcjkls.cocycle import build_s4_cocycle
 from qcjkls.invariant import cjkls_state_sum, free_energy_per_crossing
@@ -58,6 +58,16 @@ def test_family_braid_matches_letter_oracle():
     for family, max_n in ORACLE_CASES:
         for n in range(1, max_n + 1):
             assert family_braid(family, n) == reference_family_braid(family, n), (family, n)
+
+
+@pytest.mark.parametrize("family", ["Kn", "KPrime", "K0", "Km:1", "KPrimeM:2"])
+def test_family_braid_runs_are_its_twist_blocks(family):
+    family = parse_family_id(family)
+    k = 3 * (2 * family.m + 1) if family.m is not None else 3
+    for n in range(1, 40):
+        word, expected = family_braid(family, n), reference_family_braid(family, n)
+        assert word == expected and hash(word) == hash(expected), n
+        assert word.runs == reference_runs(expected.letters) == tuple((block, k) for block in _blocks(family, n)), n
 
 
 def test_family_row_text_comes_from_blocks():
