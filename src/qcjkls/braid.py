@@ -54,26 +54,36 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BraidWord:
-    """Braid group element as a word in signed generator letters."""
+    """Braid group element as its maximal runs of equal signed generator letters.
+
+    ``runs`` lists (letter, count) pairs in word order, adjacent runs
+    differing in letter; maximal runs are canonical, so two words are
+    equal exactly when their strands and runs are.  ``letters`` is the
+    expanded word, built on first access: the scans for quandles of at
+    most PACKED_MAX elements, both closure checks and ``canonical`` read
+    the runs alone.
+    """
 
     strands: int
-    letters: tuple[int, ...]
+    runs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if self.strands < 2:
-            raise ValueError(f"a braid needs at least 2 strands, got {self.strands}")
-        letters = tuple(map(int, self.letters))
-        object.__setattr__(self, "letters", letters)
-        bad = {l for l in set(letters) if l == 0 or abs(l) >= self.strands}
+    def __init__(self, strands: int, letters):
+        if strands < 2:
+            raise ValueError(f"a braid needs at least 2 strands, got {strands}")
+        letters = tuple(map(int, letters))
+        bad = {l for l in set(letters) if l == 0 or abs(l) >= strands}
         if bad:
             first = next(l for l in letters if l in bad)
-            raise ValueError(f"letter {first} is not a generator of the {self.strands}-strand braid group")
+            raise ValueError(f"letter {first} is not a generator of the {strands}-strand braid group")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "runs", _maximal_runs(list(zip(letters, repeat(1)))))
+        self.__dict__["letters"] = letters
 
     @classmethod
     def _from_runs(cls, strands: int, runs: tuple[tuple[int, int], ...]) -> BraidWord:
-        """The word spelled by maximal runs (letter, count), which become its ``runs``.
+        """The word of maximal runs (letter, count); its letters are built only on request.
 
         Nothing is checked: the caller vouches that strands >= 2, that
         every letter is a generator on that many strands, that every
@@ -81,21 +91,30 @@ class BraidWord:
         """
         word = object.__new__(cls)
         object.__setattr__(word, "strands", strands)
-        object.__setattr__(word, "letters", tuple(chain.from_iterable(starmap(repeat, runs))))
-        word.__dict__["runs"] = runs
+        object.__setattr__(word, "runs", runs)
         return word
 
     @cached_property
-    def runs(self) -> tuple[tuple[int, int], ...]:
-        """Maximal equal-letter runs as (letter, length) pairs, in word order.
+    def letters(self) -> tuple[int, ...]:
+        """The signed generator letters, each run expanded; built once, on first access."""
+        return tuple(chain.from_iterable(starmap(repeat, self.runs)))
 
-        A word from parse_braid or family_braid carries the runs it was
-        built from; one built from letters merges its one-letter runs here.
-        """
-        return _maximal_runs(list(zip(self.letters, repeat(1))))
+    @property
+    def crossings(self) -> int:
+        """The number of letters, i.e. crossings of the closure diagram: the sum of the run lengths."""
+        return sum(map(itemgetter(1), self.runs))
 
     def canonical(self) -> str:
-        """Serialize as "B<s>: s<i>^<e> ...", merging maximal equal-letter runs; exponent 1 is left out."""
+        """Serialize as "B<s>: s<i>^<e> ...", one token per maximal run; exponent 1 is left out.
+
+        The text is built once per word.  parse_braid hands over the text
+        of a word whose tokens already spell its runs this way, joined
+        from those tokens.
+        """
+        return self._canonical
+
+    @cached_property
+    def _canonical(self) -> str:
         text = {(l, c): f"s{l}" if l > 0 and c == 1 else f"s{abs(l)}^{c if l > 0 else -c}" for l, c in set(self.runs)}
         return f"B{self.strands}: {' '.join(map(text.__getitem__, self.runs))}".rstrip()
 
@@ -106,6 +125,9 @@ class BraidWord:
 # Leading zeros are stripped after matching: 0*(\d+) backtracks quadratically on a long run of them.
 _PREFIX = re.compile(r"\s*B(\d+):")
 _ITEM = re.compile(r"s(\d+)(?:\^([+-]?)(\d+))?\Z")
+# The tokens most texts hold: ASCII digits without leading zeros or "+", at most _MAX_DIGITS
+# of them, so every match is a run _read_token reads the same; it reads all the others.
+_PLAIN_ITEM = re.compile(rf"s([1-9][0-9]{{0,{_MAX_DIGITS - 1}}})(?:\^(-?)([1-9][0-9]{{0,{_MAX_DIGITS - 1}}}))?\Z")
 
 
 def _read_token(token: str, declared: int | None, at: int) -> tuple[int, int]:
@@ -128,6 +150,26 @@ def _read_token(token: str, declared: int | None, at: int) -> tuple[int, int]:
     if exponent == 0:
         raise BraidSyntaxError("exponent 0 is not allowed", at)
     return (index if exponent > 0 else -index), abs(exponent)
+
+
+def _read_tokens(tokens, declared: int | None) -> tuple[dict[str, tuple[int, int]], bool]:
+    """The (letter, count) run of each distinct token, and whether _PLAIN_ITEM read them all.
+
+    A token _PLAIN_ITEM rejects, or whose generator the declared strand
+    count lacks, goes to _read_token, which reads it or raises at position 0.
+    """
+    read = {}
+    plain = True
+    for token, item in zip(tokens, map(_PLAIN_ITEM.match, tokens)):
+        if item is not None:
+            index, minus, count = item.groups()
+            index = int(index)
+            if declared is None or index < declared:
+                read[token] = (-index if minus else index), int(count) if count else 1
+                continue
+        read[token] = _read_token(token, declared, 0)
+        plain = False
+    return read, plain
 
 
 def _maximal_runs(runs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -156,8 +198,11 @@ def parse_braid(text: str) -> BraidWord:
     and each distinct token read once, as a (letter, count) run checked
     against the strand count; only a text that fails a check is walked
     token by token, to find the first problem's position.  Adjacent
-    runs of one letter merge, and the word is built from the maximal
-    runs: its letters are expanded once and not checked again.
+    runs of one letter merge, and the word is its maximal runs: no
+    letter is expanded.  When no tokens merge and each is spelled as
+    canonical() spells its run, the canonical text is the tokens joined
+    by single spaces after the "B<s>: " prefix, so a text already in
+    canonical form comes back as it is, without a token being rebuilt.
     """
     prefix = _PREFIX.match(text)
     declared = None
@@ -173,13 +218,20 @@ def parse_braid(text: str) -> BraidWord:
 
     tokens = text[start:].split()
     try:
-        read = {token: _read_token(token, declared, 0) for token in set(tokens)}
+        read, plain = _read_tokens(list(set(tokens)), declared)
     except BraidSyntaxError:
-        read = {}
+        read, plain = {}, False
     runs = list(map(read.get, tokens))
     if None not in runs and (declared or runs) and sum(map(itemgetter(1), runs)) <= MAX_LETTERS:
         strands = declared or max(abs(letter) for letter, _ in read.values()) + 1
-        return BraidWord._from_runs(strands, _maximal_runs(runs))
+        merged = _maximal_runs(runs)
+        word = BraidWord._from_runs(strands, merged)
+        if plain and len(merged) == len(tokens):
+            # one token per run, each spelled as canonical() spells it unless it ends in "^1"
+            canonical = f"B{strands}: {' '.join(tokens)}".rstrip()
+            if "^1 " not in canonical and not canonical.endswith("^1"):
+                word.__dict__["_canonical"] = canonical
+        return word
 
     total = 0
     for token in re.compile(r"\S+").finditer(text, start):

@@ -66,7 +66,7 @@ def _derived_crossing_number(word: BraidWord) -> int | None:
     Any other diagram may have more, which would skew every
     per-crossing quantity, so no number is derived for it.
     """
-    return len(word.letters) if is_alternating_closure(word) and is_reduced_closure(word) else None
+    return word.crossings if is_alternating_closure(word) and is_reduced_closure(word) else None
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ class InvariantCache:
 
 def _fits(record: InvariantRecord, word: BraidWord, cocycle: Cocycle) -> bool:
     """Whether a cached record can be the state sum of ``word`` under ``cocycle``."""
-    return record.z.group.labels == cocycle.group.labels and record.crossing_number in (None, len(word.letters))
+    return record.z.group.labels == cocycle.group.labels and record.crossing_number in (None, word.crossings)
 
 
 def compute_invariant(
@@ -229,7 +229,7 @@ def compute_invariant(
     it).  The cache holds that record, which depends on the inputs
     alone; a cache hit skips all computation.  A cached record is used
     only if its group labels are the cocycle's and its crossing number
-    is unset or the word's letter count; otherwise it is recomputed and
+    is unset or the word's crossing count; otherwise it is recomputed and
     the new record appended, which supersedes it.  An
     ``assume_crossing_number`` (at least 1) then replaces the crossing
     number of the returned record, and f with it.  A cocycle whose group

@@ -204,9 +204,13 @@ class ResidueRing:
         self.poly = _normalize_poly(modulus, poly)
         self.modulus = modulus
         self.degree = len(self.poly) - 1
-        size = modulus**self.degree
+        # modulus >= 2, so capping the exponent at the budget's bit length keeps the
+        # power small and still decides the check exactly, as braid.exceeds_budget does
+        cap = MAX_QUANDLE_SIZE.bit_length()
+        size = modulus ** min(self.degree, cap)
         if size > MAX_QUANDLE_SIZE:
-            raise QuandleError(f"ring has {size} elements, above the table budget {MAX_QUANDLE_SIZE}")
+            count = size if self.degree <= cap else f"{modulus}^{self.degree}"
+            raise QuandleError(f"ring has {count} elements, above the table budget {MAX_QUANDLE_SIZE}")
         self.size = size
         self._lead_inv = pow(self.poly[-1], -1, modulus)
         self.elements = tuple(self._coeffs_of(i) for i in range(size))

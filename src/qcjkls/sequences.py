@@ -27,8 +27,9 @@ or 2), one twist block per index; adjacent blocks never share a
 generator.  Block i is positive exactly when i % 2 equals the word's
 parity: 1 for Kn, Km, KPrime and KPrimeM, n % 2 for K0.  family_texts
 cuts each run's text as one slice out of a ladder string of block
-texts and yields one member's text at a time; only family_braid expands
-runs into letters, and its word keeps its blocks as its runs.
+texts and yields one member's text at a time; family_braid builds the
+word whose runs are its blocks, and no letter is expanded until one is
+asked for.
 
 family_rows yields a range's closed forms (strands, crossings, Z and f)
 as plain rows; family_crossing_number, family_closed_Z and

@@ -1,8 +1,8 @@
 """Random words, small quandle tables, mirrors and Markov moves,
 single-coloring propagation, twist-block weights, letter-by-letter family
 words, the generic family sweep writers, Euclidean distance, a
-token-by-token braid parser and the slow reference builders and checks
-shared by the tests."""
+token-by-token braid parser, canonical texts built from runs and the slow
+reference builders and checks shared by the tests."""
 
 import csv
 import io
@@ -28,6 +28,13 @@ def reference_runs(letters) -> tuple[tuple[int, int], ...]:
     n = len(letters)
     starts = [0, *compress(range(1, n), map(ne, letters, letters[1:]))] if n else []
     return tuple(zip(map(letters.__getitem__, starts), map(sub, starts[1:] + [n], starts)))
+
+
+def reference_canonical(word: BraidWord) -> str:
+    """The canonical text built from the word's runs, one spelled token per run:
+    the oracle for BraidWord.canonical, which reuses a parsed text already in this form."""
+    text = {(l, c): f"s{l}" if l > 0 and c == 1 else f"s{abs(l)}^{c if l > 0 else -c}" for l, c in set(word.runs)}
+    return f"B{word.strands}: {' '.join(map(text.__getitem__, word.runs))}".rstrip()
 
 
 def random_word(rng, strands, runs, longest=3):

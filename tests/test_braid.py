@@ -17,6 +17,8 @@ from _helpers import (
     propagate,
     random_word,
     reference_affine_colorings,
+    reference_canonical,
+    reference_family_braid,
     reference_parse_braid,
     reference_reduced,
     reference_runs,
@@ -33,6 +35,7 @@ from qcjkls.braid import (
     is_alternating_closure,
     is_reduced_closure,
     parse_braid,
+    _read_token,
     _scan_tuples,
 )
 from qcjkls.cocycle import build_s4_cocycle
@@ -245,6 +248,86 @@ def test_parsed_word_letters_are_plain_ints():
     assert word.letters == (1, 1, -2, -2, -2)
     assert all(type(letter) is int for letter in word.letters)
     assert word.runs == ((1, 2), (-2, 3))
+
+
+def test_parsed_words_and_canonical_texts_match_the_old_derivations():
+    # texts with declared and undeclared strands ("B13:", "B03:"), adjacent equal tokens, the
+    # spellings "s1^1", "s01^+2" and "s2^-0003", double spaces and tabs, and texts already in
+    # canonical form: the word equals the one built from the reference letters, and its
+    # canonical text is the one built from its runs
+    rng = random.Random(2121)
+    texts = ["B13: s12 s12^1 s2^-0003", "B03: s1  s1\ts2^-1", "B3: s1 s2^-1", "B3: s1^1 s2", "B3: s1 s1", "B4: "]
+    for _ in range(3000):
+        strands = rng.randint(2, 13)
+        tokens = []
+        for _ in range(rng.randint(0, 12)):
+            index = tokens[-1][0] if tokens and rng.random() < 0.3 else rng.randint(1, strands - 1)
+            tokens.append((index, rng.choice((1, -1)) * rng.choice((1, 1, 2, 3, 11))))
+        if rng.random() < 0.3:  # a canonical text: the one built from the word's runs
+            letters = [letter for i, e in tokens for letter in [i if e > 0 else -i] * abs(e)]
+            texts.append(reference_canonical(BraidWord(strands, letters)))
+            continue
+        body = "".join(_spelling(rng, *token) + rng.choice((" ",) * 4 + ("  ", "\t", " \t ")) for token in tokens)
+        prefix = rng.choice((f"B{strands}:", f"B0{strands}:", f"B{strands}: ", f" B{strands}:", ""))
+        texts.append(prefix + rng.choice(("", " ")) + body if tokens or prefix else "s1")
+    joined = 0
+    for text in texts:
+        word, expected = parse_braid(text), reference_parse_braid(text)
+        joined += "_canonical" in word.__dict__  # the canonical text joined from the input's tokens
+        built = BraidWord(expected.strands, expected.letters)
+        assert word == built and hash(word) == hash(built), text
+        assert word.runs == built.runs == reference_runs(expected.letters), text
+        assert word.canonical() == reference_canonical(built) == built.canonical(), text
+    assert joined >= 1000, joined
+
+
+def _token(rng):
+    """A token that _PLAIN_ITEM may or may not read: leading zeros, "+", non-ASCII digits, long numerals."""
+
+    def numeral():
+        if rng.random() < 0.6:
+            return str(rng.randint(1, 12))
+        return rng.choice(("0", "00", "", "\u0663", "1", "9")) + str(rng.randint(0, 10 ** rng.randint(0, 8)))
+
+    token = rng.choice(("s",) * 8 + ("S", "x", "")) + numeral()
+    if rng.random() < 0.6:
+        token += rng.choice(("^",) * 6 + ("^^", "")) + rng.choice(("", "", "-", "-", "+", "--")) + numeral()
+    return token
+
+
+def test_plain_token_reader_agrees_with_read_token():
+    # the same run, or the same message and position, for each token and declared strand count
+    rng = random.Random(21)
+    tokens = ["s1", "s1^1", "s1^-1", "s9999999", "s10000000", "s1^9999999", "s1^10000000", "s01", "s1^+2", "s1^-0", "s0"]
+    tokens += [_token(rng) for _ in range(4000)]
+    plain = 0
+    for token, declared in product(tokens, (None, 2, 5, 10**7)):
+        try:
+            expected = _read_token(token, declared, 0)
+        except BraidSyntaxError as exc:
+            expected = (str(exc), exc.position)
+        try:
+            read, all_plain = braid._read_tokens([token], declared)
+            outcome = read[token]
+        except BraidSyntaxError as exc:
+            outcome, all_plain = (str(exc), exc.position), False
+        assert outcome == expected, (token, declared)
+        plain += all_plain
+    assert plain >= 3000, plain
+
+
+def test_words_from_every_builder_compare_and_hash_equal():
+    families = [FamilyId("Kn"), FamilyId("KPrime"), FamilyId("K0"), FamilyId("Km", 1), FamilyId("KPrimeM", 2)]
+    for family, n in product(families, (1, 2, 5)):
+        built = family_braid(family, n)
+        parsed = parse_braid(built.canonical())
+        lettered = reference_family_braid(family, n)
+        assert built == parsed == lettered, (family, n)
+        assert len({built, parsed, lettered}) == 1
+        assert built.letters == parsed.letters == lettered.letters
+        assert built.crossings == parsed.crossings == len(lettered.letters)
+    assert parse_braid("B3: s1 s1^2") == BraidWord(3, (1, 1, 1)) != BraidWord(4, (1, 1, 1))
+    assert parse_braid("B3: s1 s1^2") != parse_braid("B3: s1^2 s2")
 
 
 def test_braid_word_validation():

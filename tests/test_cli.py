@@ -227,6 +227,23 @@ def test_quandle_build_rejects_bad_ring(capsys):
     assert "not invertible" in err
 
 
+@pytest.mark.parametrize("poly", ["T^30000000+1", "T^99999999999999+1", "T^11+1", "2T^" + "0" * 10**5 + "11"])
+@pytest.mark.parametrize("head", [["colorings", "s1^3"], ["quandle", "build", "alexander"]])
+def test_a_polynomial_of_degree_above_ten_is_refused_quickly(capsys, head, poly):
+    # the degree used to size a coefficient tuple and the power mod**degree before any check
+    start = time.perf_counter()
+    code, out, err = run(capsys, [*head, "--mod", "3", "--poly", poly, *(["--affine"] if head[0] == "colorings" else [])])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: polynomial degree above 10: the quotient ring would have more than 1024 elements\n"
+
+
+def test_a_polynomial_of_degree_ten_over_z2_is_within_the_budget(capsys):
+    code, out, err = run(capsys, ["colorings", "s1^3", "--mod", "2", "--poly", "T^0010+T^3+1", "--affine"])
+    assert code == 0, err
+    assert out.startswith("braid: B2: s1^3\ncolorings: ")
+
+
 def test_quandle_check_reports_violations(capsys, tmp_path):
     q = build_s4()
     doc = q.to_json()
@@ -712,3 +729,42 @@ def test_torn_cache_line_is_skipped(capsys, tmp_path):
         assert (code, out, err) == (0, first, "")
         code, out, err = run(capsys, ["invariant", "s1^-3", "--cache", str(cache), "--format", "json"])
         assert code == 0 and err == ""
+
+
+# argvs whose parses, usage errors, help texts and exit statuses must not depend on the route
+_ROUTE_ARGVS = [
+    [], ["-h"], ["--help"], ["--version"], ["inv", "s1"], ["invariant"], ["invariant", "s1"],
+    ["invariant", "s1", "extra"], ["invariant", "--", "s1"], ["invariant", "s1", "--form", "json"],
+    ["invariant", "s1", "--format", "xml"], ["invariant", "-h"], ["invariant", "s1", "--budget", "0"],
+    ["invariant", "s1", "--cache"], ["invariant", "s1", "s2"], ["invariant", "s1", "-x"],
+    ["--format", "json", "invariant", "s1"], ["invariant", "s1^3", "--assume-crossing-number", "3"],
+    ["quandle"], ["quandle", "build"], ["quandle", "build", "s4"], ["quandle", "build", "s4", "--format", "csv"],
+    ["quandle", "check"], ["quandle", "frobnicate"], ["cocycle", "check"], ["cocycle"],
+    ["colorings", "s1^3", "--affine", "--format", "csv"], ["colorings", "s1^3", "--mod", "3"],
+    ["family", "Kn"], ["family", "Kn", "--n", "1..3", "--verify"], ["family", "--n", "2", "Kn", "--format", "json"],
+    ["family", "Kn", "--n", "1..3", "extra", "--format", "csv"], ["limits"], ["limits", "--families", "Kn,K0", "--n", "1..5"],
+    ["limits", "-h"], ["invariant", "s1^3", "--format=json"], ["invariant", "--format", "json", "s1"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_each_command_goes_to_its_subparser_with_the_full_parsers_outcome(capsys, monkeypatch):
+    direct = [_outcome(capsys, argv) for argv in _ROUTE_ARGVS]
+    parser = cli._build_parser()[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(parser, "parse_args", None)  # a well-formed command never reaches the full parser
+        assert _outcome(capsys, ["invariant", "s1^3", "--format", "json"])[0] == 0
+    monkeypatch.setattr(cli, "_parse_args", parser.parse_args)
+    full = [_outcome(capsys, argv) for argv in _ROUTE_ARGVS]
+    for argv, a, b in zip(_ROUTE_ARGVS, direct, full):
+        assert a == b, argv
+    assert sum(code == 0 for code, _, _ in direct) >= 8
+    assert sum(code == ("exit", 2) for code, _, _ in direct) >= 15

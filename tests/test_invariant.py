@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 from _helpers import column_permutations, dihedral, propagate, random_word
 
-from qcjkls import braid, invariant
+from qcjkls import braid, cli, invariant
 from qcjkls.braid import BraidWord, _scan_tuples, enumerate_colorings_affine, parse_braid
 from qcjkls.cli import main
 from qcjkls.cocycle import Cocycle, CocycleError, build_s4_cocycle, build_trivial_cocycle, load_cocycle, save_cocycle
@@ -543,6 +543,28 @@ def test_a_second_invariant_command_builds_no_run_tables(capsys, monkeypatch):
     calls.clear()
     assert main(["invariant", "B3: s1^2 s2^-7 s1"]) == 0
     assert calls == []
+    capsys.readouterr()
+
+
+def test_the_invariant_command_builds_no_letters(capsys, monkeypatch, tmp_path):
+    # the byte-state scan (3 strands), the packed scan (5 strands), both closure checks, the
+    # crossing count, the canonical text and a cache miss and hit all read the runs alone
+    _clear_scan_memos()
+    monkeypatch.delenv("QCJKLS_CACHE", raising=False)
+    words = []
+
+    def parse(text):
+        words.append(parse_braid(text))
+        return words[-1]
+
+    monkeypatch.setattr(cli, "parse_braid", parse)
+    cache = str(tmp_path / "cache.jsonl")
+    for text in ("B3: s1^2 s2^-7 s1", "s1 s1^2 s2^-1 s2^-2", "B5: s1^3 s2^-3 s3^3 s4^-3 s1"):
+        for extra in (["--format", "json"], ["--format", "csv"], ["--cache", cache], ["--cache", cache]):
+            assert main(["invariant", text, *extra]) == 0
+    assert len(words) == 12
+    assert all("letters" not in word.__dict__ for word in words)
+    assert words[-1].letters[:4] == (1, 1, 1, -2)  # still built on request
     capsys.readouterr()
 
 

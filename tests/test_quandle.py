@@ -160,6 +160,15 @@ def test_ring_size_budget():
         build_alexander_quandle(spec)
 
 
+def test_ring_size_budget_is_checked_without_the_full_power():
+    # 3^11 is printed; 2^(10^5) would take seconds to build and cannot be printed
+    with pytest.raises(QuandleError, match="ring has 177147 elements, above the table budget 1024"):
+        AlexanderQuandleSpec(3, (1,) + (0,) * 10 + (1,)).ring()
+    with pytest.raises(QuandleError, match=r"ring has 2\^100000 elements, above the table budget 1024"):
+        AlexanderQuandleSpec(2, (1,) + (0,) * 99999 + (1,)).ring()
+    assert AlexanderQuandleSpec(2, (1,) + (0,) * 9 + (1,)).ring().size == 1024
+
+
 def test_ring_element_order_little_endian():
     ring = S4_SPEC.ring()
     assert ring.elements == ((0, 0), (1, 0), (0, 1), (1, 1))
