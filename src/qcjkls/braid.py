@@ -318,8 +318,9 @@ class ScanTables:
     ``gmul_swapped`` maps (x << 4) | w to it.  ``orbits`` is the packed
     scan's plan for lane 0 (see _scan): (representative, move) per color
     x, the least of x's orbit and a translate table taking it to x.
-    ``orbit_size`` counts each representative's orbit.  The scans get
-    their tables from _scan_tables and their runs of letters from _run.
+    ``orbit_size`` counts each representative's orbit; both are built on
+    first access.  The scans get their tables from _scan_tables and
+    their runs of letters from _run.
 
     The orbits are those of the group generated by the right
     translations R_a(x) = x*a that satisfy, at c = a and all x, y, the
@@ -335,6 +336,11 @@ class ScanTables:
         self.identity = cocycle.group.identity if cocycle is not None else 0
         self.gmul = _nibble_table(cocycle.group.mul if cocycle is not None else ())
         self.gmul_swapped = _SWAP_NIBBLES.translate(self.gmul)
+
+    @cached_property
+    def orbits(self) -> list[tuple[int, bytes]]:
+        """The lane-0 plan of _scan_packed, built on first access: only that scan reads it."""
+        quandle, cocycle = self.quandle, self.cocycle
         q, op = quandle.size, quandle.op
         failed = {elems[-1] for axiom, elems in verify_quandle_axioms(quandle).violations if axiom == "self_distributivity"}
         if cocycle is not None:
@@ -350,8 +356,11 @@ class ScanTables:
                         if plan[move[y]] is None:
                             plan[move[y]] = (rep, plan[y][1].translate(move))
                             reached.append(move[y])
-        self.orbits = plan
-        self.orbit_size = Counter(rep for rep, _ in plan)
+        return plan
+
+    @cached_property
+    def orbit_size(self) -> Counter:
+        return Counter(rep for rep, _ in self.orbits)
 
 
 # _scan_tables(quandle, cocycle): the ScanTables of the most recently scanned pairs.  The
@@ -360,7 +369,12 @@ class ScanTables:
 _scan_tables = lru_cache(ScanTables)
 
 
-@lru_cache
+# Entries of each run memo.  An entry holds at most two 256-byte tables, so the three
+# full memos (_run, _compiled_run, _state_table) stay under about 2 MB.
+RUN_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=RUN_MEMO_SIZE)
 def _run(tables: ScanTables, sign: int, k: int) -> tuple[bytes, bytes]:
     """The (pair table, weight table) of k >= 1 letters of one sign on one lane pair.
 
@@ -387,7 +401,7 @@ def _run(tables: ScanTables, sign: int, k: int) -> tuple[bytes, bytes]:
     return pairs, weights
 
 
-@lru_cache
+@lru_cache(maxsize=RUN_MEMO_SIZE)
 def _compiled_run(tables: ScanTables, sign: int, k: int):
     """The packed-scan step (kind, table, weight table) of k >= 1 letters of one sign.
 
@@ -432,7 +446,7 @@ def _compile_steps(runs, tables: ScanTables):
     return steps
 
 
-@lru_cache
+@lru_cache(maxsize=RUN_MEMO_SIZE)
 def _state_table(tables: ScanTables, strands: int, letter: int, k: int) -> bytes:
     """The 256-byte table of _scan_states that takes every colored state through letter^k.
 
@@ -482,20 +496,18 @@ def _scan_states(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
     return [diff.count(0) for diff in diffs]
 
 
-def _step_chunk(steps, top, n: int, tables: ScanTables, weighted: bool):
-    """Push the n tuples whose top lanes are the columns ``top`` through the steps.
+def _push(steps, lanes: list[int], n: int, tables: ScanTables, weighted: bool) -> int:
+    """Push n packed colorings, lanes (mutated in place), through the compiled steps.
 
-    Returns (fixed, weight): ``fixed`` has a zero byte exactly where the
-    tuple closes up, i.e. every final lane equals its top lane, and the
-    weight column (0 when not ``weighted``) holds each tuple's group
-    index.  A step packs its two lanes into pair bytes with a shift and
-    an OR, and one bytes.translate looks up the step's table.  Weights
-    are multiplied in by a translate over the weight column and the
-    step's factors, packed into one byte each.
+    Lane j is an integer whose n little-endian bytes hold lane j's color
+    in each coloring.  A step packs its two lanes into pair bytes with a
+    shift and an OR, and one bytes.translate looks up the step's table.
+    Returns the weight column (0 when not ``weighted``), each coloring's
+    group index; weights are multiplied in by a translate over the
+    weight column and the step's factors, packed into one byte each.
     """
     low = int.from_bytes(b"\x0f" * n, "little")
     high = low << 4
-    lanes = top[:]
     weight = int.from_bytes(bytes([tables.identity]) * n, "little") if weighted else 0
     for a, kind, table, weights in steps:
         left, right = lanes[a], lanes[a + 1]
@@ -516,6 +528,19 @@ def _step_chunk(steps, top, n: int, tables: ScanTables, weighted: bool):
             lanes[a], lanes[a + 1] = right, out
         else:
             lanes[a], lanes[a + 1] = out, left
+    return weight
+
+
+def _step_chunk(steps, top, n: int, tables: ScanTables, weighted: bool):
+    """Push the n tuples whose top lanes are the columns ``top`` through the steps (_push).
+
+    Returns (fixed, weight): ``fixed`` has a zero byte exactly where the
+    tuple closes up, i.e. every final lane equals its top lane, and the
+    weight column (0 when not ``weighted``) holds each tuple's group
+    index.
+    """
+    lanes = top[:]
+    weight = _push(steps, lanes, n, tables, weighted)
     diff = 0
     for lane, start in zip(lanes, top):
         diff |= lane ^ start
@@ -666,26 +691,29 @@ def _diagonalize(a: list[list[int]], mod: int):
 
     Row operations are not tracked (only the kernel is wanted); column
     operations are mirrored into V, which stays invertible over Z_mod.
-    Entries are kept in [0, mod).  The pivot is the first unit met, else
-    the smallest nonzero entry: a unit clears its row and column exactly,
-    any other pivot leaves remainders smaller than itself, so the loop
+    Entries are kept in [0, mod).  The pivot is the least nonzero entry
+    (the first of equals) of the rows read in order, stopping at the
+    first row after which it is a unit; each row's least entry is one
+    min over the row.  A unit clears its row and column exactly, any
+    other pivot leaves remainders smaller than itself, so the loop
     ends.  Only the pivot row's nonzero columns and the rows that meet
     the pivot column are touched.  Diagonal entries need not form a
     divisibility chain.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [[0] * n for _ in range(n)]
+    for i, row in enumerate(v):
+        row[i] = 1
     t = 0
     while t < m and t < n:
         pivot = None
         best = None
         for i in range(t, m):
             row = a[i]
-            for j in range(t, n):
-                e = row[j]
-                if e and (best is None or e < best):
-                    pivot, best = (i, j), e
+            e = min(filter(None, row[t:]), default=0)
+            if e and (best is None or e < best):
+                pivot, best = (i, row.index(e, t)), e
             if best is not None and gcd(best, mod) == 1:
                 break
         if pivot is None:
@@ -734,6 +762,12 @@ def _kernel_mod(a: list[list[int]], mod: int):
     return count, v, steps
 
 
+@lru_cache
+def _digit_tables(mod: int, deg: int) -> list[bytes]:
+    """Translate tables, one per e < deg, mapping an element index to its coefficient of T^e."""
+    return [bytes(i // mod**e % mod for i in range(256)) for e in range(deg)]
+
+
 def enumerate_colorings_affine(word: BraidWord, spec: AlexanderQuandleSpec, budget: int = DEFAULT_BUDGET):
     """Closure colorings over an Alexander quandle via exact linear algebra.
 
@@ -741,9 +775,14 @@ def enumerate_colorings_affine(word: BraidWord, spec: AlexanderQuandleSpec, budg
     colors through the word multiplies them by its transfer matrix M,
     and the closure colorings form the kernel of (M - I).  Column (i, e)
     of M is the basis coloring T^e on lane i, zero elsewhere, pushed
-    through the crossing loop _run_word; each lane's coefficients form
-    a degree-sized block of the integer system, which is solved over
-    Z_m, so no enumeration of candidate tuples happens.  Output matches
+    through the word; each lane's coefficients form a degree-sized block
+    of the integer system, which is solved over Z_m, so no enumeration
+    of candidate tuples happens.  Over a ring of at most PACKED_MAX
+    elements all s * deg basis colorings are pushed at once, one byte
+    each per packed lane, through the packed scan's steps of the word's
+    runs (_compile_steps, _push), and row (i, e) of M is lane i's bytes
+    translated to their T^e coefficients; a larger ring pushes each
+    column through the letters with _run_word.  Output matches
     enumerate_colorings exactly, including order.  The budget bounds
     the number of colorings materialized, checked before any are
     produced.
@@ -752,14 +791,22 @@ def enumerate_colorings_affine(word: BraidWord, spec: AlexanderQuandleSpec, budg
     mod, deg, s = spec.modulus, len(spec.poly) - 1, word.strands
     n_vars = s * deg
     places = [mod**e for e in range(deg)]  # an element's index reads its coefficients in base mod
-    images = []
-    for col in range(n_vars):
-        lane, e = divmod(col, deg)
-        v = [0] * s
-        v[lane] = places[e]  # T^e
-        _run_word(word.letters, quandle.op, quandle.inv_op, v)
-        images.append([color // place % mod for color in v for place in places])
-    system = [list(row) for row in zip(*images)]
+    if quandle.size <= PACKED_MAX:
+        # byte (j, e) of lane i is lane i's color in the basis coloring T^e on lane j
+        lanes = [int.from_bytes(bytes(places), "little") << 8 * i * deg for i in range(s)]
+        tables = _scan_tables(quandle, None)
+        _push(_compile_steps(word.runs, tables), lanes, n_vars, tables, False)
+        digits = _digit_tables(mod, deg)
+        system = [list(lane.to_bytes(n_vars, "little").translate(digit)) for lane in lanes for digit in digits]
+    else:
+        images = []
+        for col in range(n_vars):
+            lane, e = divmod(col, deg)
+            v = [0] * s
+            v[lane] = places[e]  # T^e
+            _run_word(word.letters, quandle.op, quandle.inv_op, v)
+            images.append([color // place % mod for color in v for place in places])
+        system = [list(row) for row in zip(*images)]
     for i in range(n_vars):
         system[i][i] = (system[i][i] - 1) % mod
 

@@ -60,6 +60,9 @@ _TERM = re.compile(r"(\d+)?(?:T(?:\^(\d+))?)?\Z")
 # Highest degree of a --poly: over a modulus of at least 2, a quotient ring of
 # higher degree has more than 2**10 = MAX_QUANDLE_SIZE elements.
 MAX_POLY_DEGREE = MAX_QUANDLE_SIZE.bit_length() - 1
+# Longest --poly coefficient numeral read with int(), leading zeros included: Python's
+# default limit on converting a decimal string, so the refused numerals stay those int() refuses.
+MAX_COEFFICIENT_DIGITS = 4300
 
 
 def _parse_poly(text: str) -> tuple[int, ...]:
@@ -72,7 +75,10 @@ def _parse_poly(text: str) -> tuple[int, ...]:
         match = _TERM.match(term)
         if not match or (match.group(1) is None and "T" not in term):
             raise ValueError(f"bad polynomial term {term!r}")
-        coefficient = int(match.group(1)) if match.group(1) else 1
+        numeral = match.group(1)
+        if numeral and len(numeral) > MAX_COEFFICIENT_DIGITS:
+            raise ValueError(f"polynomial coefficient has more than {MAX_COEFFICIENT_DIGITS} digits")
+        coefficient = int(numeral) if numeral else 1
         if "T" in term:
             digits = (match.group(2) or "1").lstrip("0") or "0"
             # refused before int() reads a long numeral and before a coefficient per degree is built

@@ -574,6 +574,84 @@ def test_affine_budget_checked_before_output():
         enumerate_colorings_affine(TREFOIL, S4_SPEC, budget=15)
 
 
+# ------------------------------------- affine push by runs against the oracle
+# reference_affine_colorings builds the transfer matrix letter by letter in ring
+# arithmetic; the solver pushes every basis coloring at once through each run's tables.
+_PACKED_AFFINE_SPECS = [
+    AlexanderQuandleSpec(4, (1, 1)),  # the dihedral quandles of Z_4, Z_8 and Z_9
+    AlexanderQuandleSpec(8, (1, 1)),
+    AlexanderQuandleSpec(9, (1, 1)),
+    AlexanderQuandleSpec(8, (3, 1)),
+    S4_SPEC,  # Z_2[T]/(T^2+T+1)
+    AlexanderQuandleSpec(3, (1, 0, 1)),
+    AlexanderQuandleSpec(4, (1, 1, 1)),  # 16 elements
+    AlexanderQuandleSpec(2, (1, 1, 0, 1)),
+    AlexanderQuandleSpec(2, (1, 0, 0, 1, 1)),  # degree 4, 16 elements
+]
+
+
+def _run_text(rng, strands, longest):
+    k = rng.choice((1, 2, 3, rng.randint(4, longest)))
+    return f"s{rng.randint(1, strands - 1)}^{rng.choice((1, -1)) * k}"
+
+
+def test_affine_push_by_runs_matches_the_reference():
+    rng = random.Random(23)
+    for spec in _PACKED_AFFINE_SPECS:
+        assert build_alexander_quandle(spec).size <= braid.PACKED_MAX
+        for _ in range(8):
+            strands = rng.randint(2, 5)
+            word = parse_braid(f"B{strands}: " + " ".join(_run_text(rng, strands, 400) for _ in range(rng.randint(0, 6))))
+            outcome = _affine_outcome(enumerate_colorings_affine, word, spec, 3000)
+            assert "letters" not in word.__dict__  # the packed push reads the runs alone
+            assert outcome == _affine_outcome(reference_affine_colorings, word, spec, 3000), (spec, word)
+
+
+def test_affine_push_by_runs_matches_the_reference_on_runs_of_10_to_the_5():
+    # the reference walks about 15 microseconds per letter, so one such word is checked against it
+    spec = AlexanderQuandleSpec(8, (3, 1))
+    word = parse_braid(f"B2: s1^{random.Random(100000).randint(5 * 10**4, 10**5)}")
+    colorings = enumerate_colorings_affine(word, spec)
+    assert "letters" not in word.__dict__
+    assert colorings == reference_affine_colorings(word, spec), word
+    word = parse_braid("B3: s1^100000 s2^-99999")
+    assert enumerate_colorings_affine(word, S4_SPEC) == enumerate_colorings(word, build_s4())
+
+
+def test_affine_push_drops_runs_that_fix_every_pair():
+    # over the dihedral quandle of Z_m, sigma^m takes (x, y) to (x + m d, y + m d) = (x, y), d = y - x
+    for m in (4, 8, 9):
+        spec = AlexanderQuandleSpec(m, (1, 1))
+        tables = braid._scan_tables(build_alexander_quandle(spec), None)
+        assert braid._compiled_run(tables, 1, m) is None and braid._compiled_run(tables, -1, 2 * m) is None
+        for text in (f"B3: s1^{m} s2^-{2 * m}", f"B3: s1 s2^{3 * m} s1^-2 s2^{m}", f"B4: s2^-{m} s1^3 s3^{m} s2"):
+            word = parse_braid(text)
+            assert enumerate_colorings_affine(word, spec) == reference_affine_colorings(word, spec), text
+    assert enumerate_colorings_affine(parse_braid("B3: s1^8 s2^-4"), AlexanderQuandleSpec(4, (1, 1))) == list(
+        product(range(4), repeat=3)
+    )
+
+
+def test_affine_keeps_the_letter_push_above_16_elements():
+    spec = AlexanderQuandleSpec(17, (1, 1))  # T = -1: the dihedral quandle on Z_17
+    rng = random.Random(17)
+    for _ in range(6):
+        strands = rng.randint(2, 4)
+        word = parse_braid(f"B{strands}: " + " ".join(_run_text(rng, strands, 40) for _ in range(rng.randint(1, 5))))
+        colorings = enumerate_colorings_affine(word, spec)
+        assert "letters" in word.__dict__  # a ring this large pushes each basis coloring letter by letter
+        assert colorings == reference_affine_colorings(word, spec), word
+
+
+def test_affine_budget_refuses_a_large_kernel_before_building_colorings(monkeypatch):
+    # every one of the 4^40 tuples of the empty 40-strand word colors; building one would fail
+    monkeypatch.setattr(braid, "product", None)
+    with pytest.raises(BudgetExceededError, match=rf"^{4**40} colorings exceed the budget {DEFAULT_BUDGET}$"):
+        enumerate_colorings_affine(BraidWord(40, ()), S4_SPEC)
+    with pytest.raises(BudgetExceededError, match=r"^16 colorings exceed the budget 15$"):
+        enumerate_colorings_affine(parse_braid("B2: s1^300000"), S4_SPEC, budget=15)
+
+
 # -------------------------------------------------------- closure analysis
 
 

@@ -238,6 +238,25 @@ def test_a_polynomial_of_degree_above_ten_is_refused_quickly(capsys, head, poly)
     assert err == "error: polynomial degree above 10: the quotient ring would have more than 1024 elements\n"
 
 
+@pytest.mark.parametrize("poly", ["1" * 5000 + "T+1", "T+" + "0" * 4300 + "1", "2T^2+" + "7" * 10**5])
+@pytest.mark.parametrize("head", [["colorings", "s1^3"], ["quandle", "build", "alexander"]])
+def test_a_coefficient_numeral_above_4300_digits_is_refused(capsys, head, poly):
+    # int() refused these with Python's own message about its integer string conversion limit
+    start = time.perf_counter()
+    code, out, err = run(capsys, [*head, "--mod", "3", "--poly", poly, *(["--affine"] if head[0] == "colorings" else [])])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: polynomial coefficient has more than 4300 digits\n"
+
+
+def test_a_coefficient_numeral_of_4300_digits_is_read(capsys):
+    # 10^4299 = 1 mod 3, and so is the leading-zero numeral: T + 1 over Z_3
+    for numeral in ("1" + "0" * 4299, "0" * 4299 + "1"):
+        code, out, err = run(capsys, ["colorings", "s1^3", "--mod", "3", "--poly", f"T+{numeral}", "--affine"])
+        assert code == 0, err
+        assert out.startswith("braid: B2: s1^3\ncolorings: 9\n")
+
+
 def test_a_polynomial_of_degree_ten_over_z2_is_within_the_budget(capsys):
     code, out, err = run(capsys, ["colorings", "s1^3", "--mod", "2", "--poly", "T^0010+T^3+1", "--affine"])
     assert code == 0, err

@@ -604,8 +604,27 @@ def test_memoized_run_tables_equal_fresh_builds():
     assert memoized == [_scan_tuples(word, q, cocycle) for _, cocycle in pairs]
 
 
+def test_run_memos_keep_more_than_128_runs():
+    # an LRU memo under cyclic access past its bound misses every time: 300 distinct runs,
+    # computed twice, must each miss exactly once
+    _clear_scan_memos()
+    tables = braid._scan_tables(build_s4(), build_s4_cocycle())
+    runs = [(letter, k) for k in range(1, 151) for letter in (1, -2)]
+    memos = {
+        braid._run: lambda letter, k: braid._run(tables, 1 if letter > 0 else -1, k),
+        braid._compiled_run: lambda letter, k: braid._compiled_run(tables, 1 if letter > 0 else -1, k),
+        braid._state_table: lambda letter, k: braid._state_table(tables, 3, letter, k),
+    }
+    for memo, compute in memos.items():
+        for expected_misses in (len(runs), 0):
+            before = memo.cache_info().misses
+            for letter, k in runs:
+                compute(letter, k)
+            assert memo.cache_info().misses - before == expected_misses, memo
+
+
 def test_scan_memos_stay_bounded():
-    # 1000 words with distinct exponents over 200 distinct pairs: more than any memo keeps.
+    # 2000 words with distinct exponents over 200 distinct pairs: more than any memo keeps.
     # The 3-strand words take the byte-state scan, the 5-strand ones the packed scan.
     _clear_scan_memos()
     rng = random.Random(1000)
@@ -613,8 +632,7 @@ def test_scan_memos_stay_bounded():
     cocycles = [Cocycle(q, group, _random_cocycle_table(rng, q, group)) for _ in range(200)]
     for k in range(1, 1001):
         cjkls_state_sum(parse_braid(f"B3: s1^{k} s2^-{k + 1}"), q, cocycles[k % 200])
-        if k % 4 == 0:
-            cjkls_state_sum(parse_braid(f"B5: s1^{k} s4^-{k + 1}"), q, cocycles[k % 200])
+        cjkls_state_sum(parse_braid(f"B5: s1^{k} s4^-{k + 1}"), q, cocycles[k % 200])
     for memo in _SCAN_MEMOS:
         info = memo.cache_info()
         assert info.currsize <= info.maxsize < info.misses, (memo, info)
