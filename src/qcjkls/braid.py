@@ -40,6 +40,9 @@ MAX_LETTERS = 10**6
 _MAX_DIGITS = len(str(MAX_LETTERS))
 # Characters of a bad token that a syntax error quotes: at most 10 each in a repr.
 _QUOTE_CHARS = 12
+# Cap on the unknowns (strands * ring degree) of the affine coloring system:
+# its packed lanes and rows hold about MAX_AFFINE_VARS ** 2 bytes each.
+MAX_AFFINE_VARS = 2048
 
 
 class BraidSyntaxError(ValueError):
@@ -749,8 +752,11 @@ def _diagonalize(a: list[list[int]], mod: int):
 
 
 def _kernel_mod(a: list[list[int]], mod: int):
-    """Solutions of A x == 0 over Z_mod: returns (solution count, V, step table)."""
-    diag, v = _diagonalize([[e % mod for e in row] for row in a], mod)
+    """Solutions of A x == 0 over Z_mod: returns (solution count, V, step table).
+
+    A's entries must lie in [0, mod); A is reduced in place.
+    """
+    diag, v = _diagonalize(a, mod)
     n = len(a[0]) if a else 0
     steps = []
     count = 1
@@ -768,6 +774,47 @@ def _digit_tables(mod: int, deg: int) -> list[bytes]:
     return [bytes(i // mod**e % mod for i in range(256)) for e in range(deg)]
 
 
+# The prime moduli of rings of at most PACKED_MAX elements.  A row operation
+# of _kernel_prime keeps each byte at most (p - 1) + (p - 1) ** 2 <= 156.
+_PACKED_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _kernel_prime(matrix: bytes, n: int, p: int) -> list[int]:
+    """A basis of the solutions of A x == 0 over the field Z_p, p in _PACKED_PRIMES.
+
+    ``matrix`` holds A's m rows one after another, n bytes each, with
+    entries in [0, p).  Each basis vector is an integer whose
+    little-endian byte j is x_j.  Column j of A, read off the rows as one
+    bytes slice, and the unit vector e_j are packed into one integer,
+    A's m bytes low and e_j's n bytes above them.  These are reduced one
+    by one on their low bytes against the pivots so far, each keyed by
+    its lowest nonzero byte, which is 1: when the column's lowest
+    nonzero byte f sits at a pivot's key, adding (p - f) times that
+    pivot clears it, and one translate takes every byte back mod p.  A
+    column whose low bytes reach zero is a combination of A's columns
+    that sums to zero, so its high bytes are a kernel vector; those of
+    all such columns are independent, and there are n - rank(A) of them.
+    """
+    m = len(matrix) // n
+    width, low = m + n, (1 << 8 * m) - 1
+    table = _digit_tables(p, 1)[0]
+    pivots: dict[int, int] = {}
+    basis = []
+    for j in range(n):
+        column = int.from_bytes(matrix[j::n], "little") | 1 << 8 * (m + j)
+        while column & low:
+            at = (column & -column).bit_length() - 1 >> 3
+            f = column >> 8 * at & 255
+            pivot = pivots.get(at)
+            if pivot is None:
+                pivots[at] = int.from_bytes((column * pow(f, -1, p)).to_bytes(width, "little").translate(table), "little")
+                break
+            column = int.from_bytes((column + (p - f) * pivot).to_bytes(width, "little").translate(table), "little")
+        else:
+            basis.append(column >> 8 * m)
+    return basis
+
+
 def enumerate_colorings_affine(word: BraidWord, spec: AlexanderQuandleSpec, budget: int = DEFAULT_BUDGET):
     """Closure colorings over an Alexander quandle via exact linear algebra.
 
@@ -782,14 +829,24 @@ def enumerate_colorings_affine(word: BraidWord, spec: AlexanderQuandleSpec, budg
     each per packed lane, through the packed scan's steps of the word's
     runs (_compile_steps, _push), and row (i, e) of M is lane i's bytes
     translated to their T^e coefficients; a larger ring pushes each
-    column through the letters with _run_word.  Output matches
-    enumerate_colorings exactly, including order.  The budget bounds
-    the number of colorings materialized, checked before any are
-    produced.
+    column through the letters with _run_word.  When such a ring's m is
+    prime, the field solver _kernel_prime reduces the packed rows and
+    each coloring is a packed sum of multiples of the kernel basis
+    (_colorings_prime); any other ring is diagonalized over Z_m
+    (_kernel_mod).  Output matches enumerate_colorings exactly,
+    including order.
+
+    Raises ValueError, before any lane is built, when s * deg exceeds
+    MAX_AFFINE_VARS.  The budget bounds the number of colorings
+    materialized, checked before any are produced.
     """
-    quandle = build_alexander_quandle(spec)
     mod, deg, s = spec.modulus, len(spec.poly) - 1, word.strands
     n_vars = s * deg
+    if n_vars > MAX_AFFINE_VARS:
+        raise ValueError(
+            f"the affine system has {s} strands x degree {deg} = {n_vars} unknowns, above the cap of {MAX_AFFINE_VARS}"
+        )
+    quandle = build_alexander_quandle(spec)
     places = [mod**e for e in range(deg)]  # an element's index reads its coefficients in base mod
     if quandle.size <= PACKED_MAX:
         # byte (j, e) of lane i is lane i's color in the basis coloring T^e on lane j
@@ -797,7 +854,10 @@ def enumerate_colorings_affine(word: BraidWord, spec: AlexanderQuandleSpec, budg
         tables = _scan_tables(quandle, None)
         _push(_compile_steps(word.runs, tables), lanes, n_vars, tables, False)
         digits = _digit_tables(mod, deg)
-        system = [list(lane.to_bytes(n_vars, "little").translate(digit)) for lane in lanes for digit in digits]
+        rows = [lane.to_bytes(n_vars, "little").translate(digit) for lane in lanes for digit in digits]
+        if mod in _PACKED_PRIMES:
+            return _colorings_prime(rows, mod, deg, budget)
+        system = [list(row) for row in rows]
     else:
         images = []
         for col in range(n_vars):
@@ -827,6 +887,39 @@ def enumerate_colorings_affine(word: BraidWord, spec: AlexanderQuandleSpec, budg
         colorings.append(tuple(map(sum, zip(*[iter(digits)] * deg))))
     colorings.sort()
     return colorings
+
+
+def _colorings_prime(rows: list[bytes], p: int, deg: int, budget: int) -> list[tuple[int, ...]]:
+    """The colorings of enumerate_colorings_affine from M's rows over a field Z_p[T]/(p(T)).
+
+    Solves (M - I) x == 0 with _kernel_prime.  Each kernel vector x is
+    packed, byte (i, e) holding lane i's coefficient of T^e, and the
+    colorings are the sums of all multiples of the basis, built one
+    basis vector at a time with one reducing translate per sum.  Lane
+    i's element index is then the sum over e of byte (i, e) * p^e, so
+    the deg slices of every e < deg, each read as an integer and scaled,
+    add up to the coloring's bytes without carries.
+    """
+    n = len(rows)
+    matrix = bytearray(b"".join(rows))
+    matrix[:: n + 1] = bytes((x - 1) % p for x in matrix[:: n + 1])
+    basis = _kernel_prime(matrix, n, p)
+    count = p ** len(basis)
+    if count > budget:
+        raise BudgetExceededError(f"{count} colorings exceed the budget {budget}")
+    table = _digit_tables(p, 1)[0]
+    colorings = [bytes(n)]
+    for vector in basis:
+        multiples = [c * vector for c in range(p)]
+        sums = [int.from_bytes(x, "little") for x in colorings]
+        colorings = [(x + k).to_bytes(n, "little").translate(table) for x in sums for k in multiples]
+    if deg > 1:
+        s = n // deg
+        colorings = [
+            sum(int.from_bytes(x[e::deg], "little") * p**e for e in range(deg)).to_bytes(s, "little") for x in colorings
+        ]
+    colorings.sort()
+    return list(map(tuple, colorings))
 
 
 def is_alternating_closure(word: BraidWord) -> bool:

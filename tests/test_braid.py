@@ -652,6 +652,114 @@ def test_affine_budget_refuses_a_large_kernel_before_building_colorings(monkeypa
         enumerate_colorings_affine(parse_braid("B2: s1^300000"), S4_SPEC, budget=15)
 
 
+# ------------------------------------------- field solver against _kernel_mod
+# _kernel_mod diagonalizes over Z_m; over a prime its kernel is the span of the
+# columns of V whose diagonal entry is 0, and the field solver must span the same space.
+
+
+def _rank_mod(vectors, p):
+    """Rank over Z_p of integer vectors, by plain elimination on lists."""
+    rows = [[x % p for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, p)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * inverse
+            rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _field_kernel(a, p):
+    n = len(a[0])
+    return [list(v.to_bytes(n, "little")) for v in braid._kernel_prime(b"".join(map(bytes, a)), n, p)]
+
+
+def _random_matrices(rng, p):
+    yield [[0]]
+    yield [[rng.randrange(1, p)]]
+    for n in (1, 2, 5, 17, 64):
+        yield [[0] * n for _ in range(n)]
+        yield [[int(i == j) for j in range(n)] for i in range(n)]
+        yield [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        # rank at most k: an n x k times a k x n product
+        k = rng.randint(0, n - 1)
+        left = [[rng.randrange(p) for _ in range(k)] for _ in range(n)]
+        right = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+        yield [[sum(row[t] * right[t][j] for t in range(k)) % p for j in range(n)] for row in left]
+        # sparse, like the M - I of a long word over few strands
+        yield [[rng.randrange(p) if rng.random() < 0.1 else 0 for _ in range(n)] for _ in range(n)]
+    for m, n in ((3, 7), (12, 4), (40, 9)):  # rows and columns differ, as in a cocycle system
+        yield [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+
+
+@pytest.mark.parametrize("p", braid._PACKED_PRIMES)
+def test_field_solver_spans_the_kernel_of_kernel_mod(p):
+    rng = random.Random(p)
+    for a in _random_matrices(rng, p):
+        n = len(a[0])
+        basis = _field_kernel(a, p)
+        count, v, steps = braid._kernel_mod([row[:] for row in a], p)
+        assert p ** len(basis) == count, (p, a)
+        assert all(sum(e * x for e, x in zip(row, vector)) % p == 0 for row in a for vector in basis), (p, a)
+        free = [[v[i][j] for i in range(n)] for j, (g, _) in enumerate(steps) if g > 1]
+        assert _rank_mod(basis, p) == _rank_mod(free, p) == _rank_mod(basis + free, p) == len(basis), (p, a)
+
+
+def _field_specs(rng):
+    """Specs over every prime ring of at most 16 elements, a random polynomial with unit ends each."""
+    for p, degrees in ((2, (1, 2, 3, 4)), (3, (1, 2)), (5, (1,)), (7, (1,)), (11, (1,)), (13, (1,))):
+        for degree in degrees:
+            inner = tuple(rng.randrange(p) for _ in range(degree - 1))
+            yield AlexanderQuandleSpec(p, (rng.randrange(1, p),) + inner + (rng.randrange(1, p),))
+
+
+def test_affine_field_solver_matches_the_reference():
+    rng = random.Random(24)
+    for spec in _field_specs(rng):
+        assert spec.modulus in braid._PACKED_PRIMES and build_alexander_quandle(spec).size <= braid.PACKED_MAX
+        for strands in (2, 3, rng.randint(4, 12), rng.randint(13, 40), 40):
+            word = random_word(rng, strands, rng.randint(0, 2 * strands))
+            expected = _affine_outcome(reference_affine_colorings, word, spec, 3000)
+            assert _affine_outcome(enumerate_colorings_affine, word, spec, 3000) == expected, (spec, word)
+
+
+def test_affine_selects_the_field_solver_over_primes_only(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_diagonalize called")
+
+    monkeypatch.setattr(braid, "_diagonalize", refuse)
+    word = parse_braid("B4: s1^2 s2^-1 s3 s1^-3 s2")
+    for spec in _field_specs(random.Random(5)):
+        enumerate_colorings_affine(word, spec)
+    for spec in (AlexanderQuandleSpec(4, (1, 1)), AlexanderQuandleSpec(17, (1, 1))):
+        with pytest.raises(AssertionError, match="_diagonalize called"):
+            enumerate_colorings_affine(word, spec)
+
+
+def test_affine_system_is_capped_before_any_lane_is_built(monkeypatch):
+    cap = braid.MAX_AFFINE_VARS
+    spec = AlexanderQuandleSpec(3, (1, 1))  # degree 1: one unknown per strand
+    # the cap itself is solved: s1 ... s_(cap-1) closes to a knot, with the 3 constant colorings
+    knot = BraidWord(cap, tuple(range(1, cap)))
+    assert enumerate_colorings_affine(knot, spec) == [(c,) * cap for c in range(3)]
+    with pytest.raises(BudgetExceededError, match=rf"^{3**cap} colorings exceed the budget 1$"):
+        enumerate_colorings_affine(BraidWord(cap, ()), spec, budget=1)
+
+    def refuse(*args):
+        raise AssertionError("a lane was built")
+
+    monkeypatch.setattr(braid, "_scan_tables", refuse)
+    monkeypatch.setattr(braid, "build_alexander_quandle", refuse)
+    message = rf"^the affine system has {cap + 1} strands x degree 1 = {cap + 1} unknowns, above the cap of {cap}$"
+    with pytest.raises(ValueError, match=message):
+        enumerate_colorings_affine(BraidWord(cap + 1, (1,)), spec)
+
+
 # -------------------------------------------------------- closure analysis
 
 

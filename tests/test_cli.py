@@ -238,6 +238,30 @@ def test_a_polynomial_of_degree_above_ten_is_refused_quickly(capsys, head, poly)
     assert err == "error: polynomial degree above 10: the quotient ring would have more than 1024 elements\n"
 
 
+@pytest.mark.parametrize(
+    "argv, unknowns",
+    [
+        (["colorings", "B9999999: s1", "--affine"], "9999999 strands x degree 2 = 19999998"),
+        (["colorings", "B1025: s1", "--affine", "--budget", "1"], "1025 strands x degree 2 = 2050"),
+        (["colorings", "B2049: s1", "--affine", "--mod", "5", "--poly", "T+3"], "2049 strands x degree 1 = 2049"),
+    ],
+)
+def test_an_affine_system_above_the_cap_is_refused_quickly(capsys, argv, unknowns):
+    # 9999999 strands were pushed as lanes of as many bytes until memory ran out
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: the affine system has {unknowns} unknowns, above the cap of 2048\n"
+
+
+def test_an_affine_system_at_the_cap_is_solved(capsys):
+    # 1024 strands of degree 2 are exactly the cap; all lanes but s1's pair are free
+    code, out, err = run(capsys, ["colorings", "B1024: s1", "--affine", "--budget", "1"])
+    assert (code, out) == (1, "")
+    assert err == f"error: {4**1023} colorings exceed the budget 1\n"
+
+
 @pytest.mark.parametrize("poly", ["1" * 5000 + "T+1", "T+" + "0" * 4300 + "1", "2T^2+" + "7" * 10**5])
 @pytest.mark.parametrize("head", [["colorings", "s1^3"], ["quandle", "build", "alexander"]])
 def test_a_coefficient_numeral_above_4300_digits_is_refused(capsys, head, poly):
