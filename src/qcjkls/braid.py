@@ -19,12 +19,12 @@ over-arc color).
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, compress, product, repeat, starmap
+from itertools import chain, compress, groupby, product, repeat, starmap
 from math import gcd
 from operator import eq, itemgetter, not_
+from typing import NamedTuple
 
 from .cocycle import Cocycle, verify_cocycle
 from .quandle import AlexanderQuandleSpec, QuandleTable, build_alexander_quandle, verify_quandle_axioms
@@ -43,6 +43,10 @@ _QUOTE_CHARS = 12
 # Cap on the unknowns (strands * ring degree) of the affine coloring system:
 # its packed lanes and rows hold about MAX_AFFINE_VARS ** 2 bytes each.
 MAX_AFFINE_VARS = 2048
+# Cap on the unknowns of an affine system that is diagonalized over Z_m, cubic in pure
+# Python (a composite modulus, or a ring of more than PACKED_MAX elements): a dense
+# 512-unknown system over Z_16 took 3.3 s on a 2-vCPU machine.
+MAX_DIAGONAL_VARS = 512
 
 
 class BraidSyntaxError(ValueError):
@@ -309,29 +313,49 @@ def _pack(high: bytes, low: bytes) -> bytes:
     return (int.from_bytes(high, "little") << 4 | int.from_bytes(low, "little")).to_bytes(len(low), "little")
 
 
+# Entries of each column memo of the packed scan; an entry holds at most CHUNK_TUPLES bytes.
+COLUMN_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=COLUMN_MEMO_SIZE)
 def _column(q: int, block: int, size: int) -> int:
     """Integer whose byte i is color (i // block) % q, for i < size; size is a multiple of block * q."""
     return int.from_bytes(b"".join(bytes([d]) * block for d in range(q)) * (size // (block * q)), "little")
+
+
+@lru_cache(maxsize=COLUMN_MEMO_SIZE)
+def _head_column(colors: bytes, block: int) -> int:
+    """Integer whose bytes are block copies of each of the colors in turn."""
+    return int.from_bytes(b"".join(bytes([c]) * block for c in colors), "little")
+
+
+class OrbitPlan(NamedTuple):
+    """The packed scan's plan for the first lanes of a tuple (see _orbits).
+
+    ``prefixes`` lists the colorings of those lanes in lexicographic
+    order.  ``members`` maps each orbit's representative, the index of
+    its least prefix, to the orbit as (prefix index, move) pairs, the
+    representative first: ``move`` is a translate table taking the
+    representative's prefix to that member's; representatives come in
+    index order.  ``size`` counts each orbit, by increasing size, so the
+    scan steps blocks of equal size next to each other.  ``spread`` maps
+    each move but the identity to the representatives it takes to
+    another member; equal moves are one object.
+    """
+
+    prefixes: list[tuple[int, ...]]
+    members: dict[int, list[tuple[int, bytes]]]
+    size: dict[int, int]
+    spread: dict[bytes, list[int]]
 
 
 class ScanTables:
     """The byte tables the scans read off one quandle and cocycle (or None).
 
     ``gmul`` maps byte (w << 4) | x to the group product w * x, and
-    ``gmul_swapped`` maps (x << 4) | w to it.  ``orbits`` is the packed
-    scan's plan for lane 0 (see _scan): (representative, move) per color
-    x, the least of x's orbit and a translate table taking it to x.
-    ``orbit_size`` counts each representative's orbit; both are built on
-    first access.  The scans get their tables from _scan_tables and
-    their runs of letters from _run.
-
-    The orbits are those of the group generated by the right
-    translations R_a(x) = x*a that satisfy, at c = a and all x, y, the
-    two laws verify_quandle_axioms and verify_cocycle check: R_a is an
-    automorphism, (x*y)*a = (x*a)*(y*a), and, with a cocycle,
-    phi(x*a, y*a) phi(x, a) = phi(x, y) phi(x*y, a).  R_a is a bijection
-    in every QuandleTable.  ``move`` composes such R_a, so it keeps both
-    laws too.
+    ``gmul_swapped`` maps (x << 4) | w to it.  The scans get their
+    tables from _scan_tables, their runs of letters from _run and the
+    packed scan's orbits from _orbits.
     """
 
     def __init__(self, quandle: QuandleTable, cocycle: Cocycle | None):
@@ -340,30 +364,53 @@ class ScanTables:
         self.gmul = _nibble_table(cocycle.group.mul if cocycle is not None else ())
         self.gmul_swapped = _SWAP_NIBBLES.translate(self.gmul)
 
-    @cached_property
-    def orbits(self) -> list[tuple[int, bytes]]:
-        """The lane-0 plan of _scan_packed, built on first access: only that scan reads it."""
-        quandle, cocycle = self.quandle, self.cocycle
-        q, op = quandle.size, quandle.op
-        failed = {elems[-1] for axiom, elems in verify_quandle_axioms(quandle).violations if axiom == "self_distributivity"}
-        if cocycle is not None:
-            failed.update(c for _, _, c in verify_cocycle(cocycle).condition_violations)
-        moves = [bytes(op[x][a] for x in range(q)) + _IDENTITY[q:] for a in range(q) if a not in failed]
-        plan = [None] * q
-        for rep in range(q):
-            if plan[rep] is None:
-                plan[rep] = (rep, _IDENTITY)
-                reached = [rep]
-                for y in reached:
-                    for move in moves:
-                        if plan[move[y]] is None:
-                            plan[move[y]] = (rep, plan[y][1].translate(move))
-                            reached.append(move[y])
-        return plan
 
-    @cached_property
-    def orbit_size(self) -> Counter:
-        return Counter(rep for rep, _ in self.orbits)
+# Entries of the orbit plan memo: a plan holds at most STATES_MAX prefixes.
+ORBIT_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=ORBIT_MEMO_SIZE)
+def _orbits(tables: ScanTables, width: int) -> OrbitPlan:
+    """The packed scan's plan for the first ``width`` lanes (see _scan): the orbits of their prefixes.
+
+    The orbits are those of the group generated by the right
+    translations R_a(x) = x*a that satisfy, at c = a and all x, y, the
+    two laws verify_quandle_axioms and verify_cocycle check: R_a is an
+    automorphism, (x*y)*a = (x*a)*(y*a), and, with a cocycle,
+    phi(x*a, y*a) phi(x, a) = phi(x, y) phi(x*y, a).  R_a is a bijection
+    in every QuandleTable.  A breadth-first search applies each R_a to a
+    whole prefix with one translate; a plan's ``move`` composes such
+    R_a, so it keeps both laws too.
+    """
+    quandle, cocycle = tables.quandle, tables.cocycle
+    q, op = quandle.size, quandle.op
+    failed = {elems[-1] for axiom, elems in verify_quandle_axioms(quandle).violations if axiom == "self_distributivity"}
+    if cocycle is not None:
+        failed.update(c for _, _, c in verify_cocycle(cocycle).condition_violations)
+    moves = [bytes(op[x][a] for x in range(q)) + _IDENTITY[q:] for a in range(q) if a not in failed]
+    prefixes = list(product(range(q), repeat=width))
+    keys = list(map(bytes, prefixes))
+    index = dict(zip(keys, range(len(keys))))
+    moved: list = [None] * len(keys)  # the move reaching each prefix from its representative
+    members = {}
+    distinct: dict[bytes, bytes] = {}  # equal moves share one table
+    for rep in range(len(keys)):
+        if moved[rep] is None:
+            moved[rep] = _IDENTITY
+            orbit = members[rep] = [(rep, _IDENTITY)]
+            for y, move_y in orbit:
+                for move in moves:
+                    z = index[keys[y].translate(move)]
+                    if moved[z] is None:
+                        composed = move_y.translate(move)
+                        moved[z] = distinct.setdefault(composed, composed)
+                        orbit.append((z, moved[z]))
+    spread: dict[bytes, list[int]] = {}
+    for rep, orbit in members.items():
+        for _, move in orbit[1:]:
+            spread.setdefault(move, []).append(rep)
+    size = {rep: len(members[rep]) for rep in sorted(members, key=lambda rep: len(members[rep]))}
+    return OrbitPlan(prefixes, members, size, spread)
 
 
 # _scan_tables(quandle, cocycle): the ScanTables of the most recently scanned pairs.  The
@@ -550,70 +597,121 @@ def _step_chunk(steps, top, n: int, tables: ScanTables, weighted: bool):
     return diff.to_bytes(n, "little"), weight
 
 
+def _prefix_width(q: int, s: int) -> int:
+    """The lanes the packed scan reduces by orbits: the most, from 1 to s, whose q ** width prefixes fit STATES_MAX."""
+    width = 1
+    while width < s and q ** (width + 1) <= STATES_MAX:
+        width += 1
+    return width
+
+
+def _chunks(steps, heads, q: int, trailing: int, tables: ScanTables, weighted: bool):
+    """Step, for each head, the block of tuples whose leading lanes spell it and whose trailing lanes run through all colors.
+
+    A block holds m = q ** trailing tuples.  Consecutive blocks share a
+    chunk of at most CHUNK_TUPLES tuples, block u of a chunk at bytes
+    u * m to (u + 1) * m.  Yields (index of the chunk's first head,
+    fixed, weight) per chunk (_step_chunk).  The chunk's top lanes come
+    from the column memos.
+    """
+    m = q**trailing
+    per = CHUNK_TUPLES // m
+    for at in range(0, len(heads), per):
+        group = heads[at : at + per]
+        n = len(group) * m
+        top = [_head_column(bytes(lane), m) for lane in zip(*group)]
+        top += [_column(q, q**p, n) for p in reversed(range(trailing))]
+        yield at, *_step_chunk(steps, top, n, tables, weighted)
+
+
 def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None):
     """The packed-column scan behind _scan; needs quandle and group sizes <= 16.
 
     Lane j of a chunk is an integer whose little-endian bytes hold lane
     j's color for every candidate tuple of the chunk, so one step moves
-    all of them (_step_chunk).  Lane 0 and the other leading lanes are
-    fixed per chunk and the trailing lanes run through all values, so a
-    chunk holds at most CHUNK_TUPLES tuples and chunks come in
-    lexicographic order.  Fixed tuples are the zero bytes of the chunk's
-    ``fixed``.
+    all of them (_step_chunk).  Fixed tuples are the zero bytes of the
+    chunk's ``fixed``.
 
-    Lane 0 is scanned at one color per orbit of ScanTables.orbits.  A
-    state sum counts a representative's block, its chunks, once per
-    orbit member.  The colorings of another member x are its
-    representative's, mapped by ``move`` and sorted, unless that block
-    holds so many colorings that mapping them would cost more than
-    scanning (MAP_COST); then block x is scanned too.
+    The first _prefix_width lanes, the prefix, are scanned at one
+    prefix per orbit of _orbits.  A block fixes the prefix and any
+    middle lanes, and its trailing lanes run through all colors
+    (_chunks): the middle lanes are those past the prefix that do not
+    fit a chunk, so each prefix's blocks come in lexicographic order.
+    A state sum steps the representatives' blocks, ordered by orbit
+    size, and counts each block once per orbit member.  The colorings
+    of another member x are its representative's, mapped by ``move``,
+    unless they are so many that mapping them would cost more than
+    scanning x's blocks (MAP_COST); then x's blocks are scanned too.
+    The scanned blocks, in prefix order, are one sorted run, and one
+    sort merges the mapped colorings into it.
     """
     q, s = quandle.size, word.strands
     tables = _scan_tables(quandle, cocycle)
     steps = _compile_steps(word.runs, tables)
+    width = _prefix_width(q, s)
+    orbits = _orbits(tables, width)
     trailing = 0
-    while trailing < s - 1 and q ** (trailing + 1) <= CHUNK_TUPLES:
+    while trailing < s - width and q ** (trailing + 1) <= CHUNK_TUPLES:
         trailing += 1
-    n = q**trailing
-    weighted = any(step[3] is not None for step in steps)
-    constant = [int.from_bytes(bytes([d]) * n, "little") for d in range(q)]
-    tops = [_column(q, q**p, n) for p in reversed(range(trailing))]
-    # tuple index i of a chunk spells the trailing colors high + low
-    low_tails = list(product(range(q), repeat=trailing // 2))
-    high_tails = list(product(range(q), repeat=trailing - trailing // 2))
-    width = len(low_tails)
-    leading = [range(q)] * (s - 1 - trailing)
-    coeffs = [0] * (cocycle.group.order if cocycle is not None else 1)
-    found = []
-    blocks = {}
-    for x, (rep, move) in enumerate(tables.orbits):
-        if rep != x:
-            if cocycle is not None:
-                continue
-            start, stop = blocks[rep]
-            if (stop - start) * MAP_COST < q ** (s - 1) * len(steps):
-                moved = bytes(chain.from_iterable(found[start:stop])).translate(move)
-                found += sorted(zip(*[iter(moved)] * s))
-                continue
-        start = len(found)
-        for prefix in product((x,), *leading):
-            fixed, weight = _step_chunk(steps, [constant[d] for d in prefix] + tops, n, tables, weighted)
-            if cocycle is None:
-                # visit only the rows of len(low_tails) tuples that hold a coloring
-                index = fixed.find(0)
-                while index >= 0:
-                    row = index // width
-                    head = prefix + high_tails[row]
-                    found += map(head.__add__, compress(low_tails, map(not_, fixed[row * width : row * width + width])))
-                    index = fixed.find(0, row * width + width)
-            elif weighted:
-                keyed = (int.from_bytes(fixed.translate(_UNFIXED), "little") | weight).to_bytes(n, "little")
-                for g in range(len(coeffs)):
-                    coeffs[g] += keyed.count(g) * tables.orbit_size[x]
-            else:
-                coeffs[cocycle.group.identity] += fixed.count(0) * tables.orbit_size[x]
-        blocks[x] = (start, len(found))
-    return found if cocycle is None else coeffs
+    middles = list(product(range(q), repeat=s - width - trailing))
+    m = q**trailing
+    if cocycle is not None:
+        weighted = any(step[3] is not None for step in steps)
+        heads = [orbits.prefixes[rep] + middle for rep in orbits.size for middle in middles]
+        sizes = [size for size in orbits.size.values() for _ in middles]
+        coeffs = [0] * cocycle.group.order
+        identity = cocycle.group.identity
+        for at, fixed, weight in _chunks(steps, heads, q, trailing, tables, weighted):
+            if weighted:
+                fixed = (int.from_bytes(fixed.translate(_UNFIXED), "little") | weight).to_bytes(len(fixed), "little")
+            start = 0
+            # one count per group element and run of blocks of equal orbit size
+            for size, run in groupby(sizes[at : at + len(fixed) // m]):
+                stop = start + len(list(run)) * m
+                if weighted:
+                    for g in range(len(coeffs)):
+                        coeffs[g] += fixed.count(g, start, stop) * size
+                else:
+                    coeffs[identity] += fixed.count(0, start, stop) * size
+                start = stop
+        return coeffs
+
+    def colorings(prefixes):
+        """The colorings of each prefix, as a list per prefix, in lexicographic order."""
+        heads = [prefix + middle for prefix in prefixes for middle in middles]
+        # tuple index i of a block spells the trailing colors high + low
+        low_tails = list(product(range(q), repeat=trailing // 2))
+        high_tails = list(product(range(q), repeat=trailing - trailing // 2))
+        row_len, rows = len(low_tails), len(high_tails)
+        found = [[] for _ in prefixes]
+        for at, fixed, _ in _chunks(steps, heads, q, trailing, tables, False):
+            # visit only the rows of len(low_tails) tuples that hold a coloring
+            index = fixed.find(0)
+            while index >= 0:
+                row = index // row_len
+                block, high = divmod(row, rows)
+                head = heads[at + block] + high_tails[high]
+                found[(at + block) // len(middles)] += map(
+                    head.__add__, compress(low_tails, map(not_, fixed[row * row_len : row * row_len + row_len]))
+                )
+                index = fixed.find(0, row * row_len + row_len)
+        return found
+
+    found = dict(zip(orbits.size, colorings([orbits.prefixes[x] for x in orbits.size])))
+    work = len(middles) * m * len(steps)  # tuple-steps of scanning one prefix
+    mapped = {rep: bytes(chain.from_iterable(block)) for rep, block in found.items() if block and len(block) * MAP_COST < work}
+    dense = [x for rep, block in found.items() if len(block) * MAP_COST >= work for x, _ in orbits.members[rep][1:]]
+    found.update(zip(dense, colorings([orbits.prefixes[x] for x in dense])))
+    result = [coloring for _, block in sorted(found.items()) for coloring in block]
+    # one translate per move maps the colorings of every representative it moves
+    moved = b"".join(
+        b"".join(mapped[rep] for rep in reps if rep in mapped).translate(move) for move, reps in orbits.spread.items()
+    )
+    if moved:
+        # the scanned blocks are one sorted run, so the sort merges the mapped colorings into it
+        result += zip(*[iter(moved)] * s)
+        result.sort()
+    return result
 
 
 def _scan_tuples(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None):
@@ -650,14 +748,15 @@ def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, budge
     their colored states fit STATES_MAX, else the packed-column path;
     larger ones take the per-tuple path.
 
-    The packed scan sweeps lane 0 at one color per orbit of
-    ScanTables.orbits (see _scan_packed).  That is exact.  For each
-    generator R = R_a:
+    The packed scan steps the first _prefix_width lanes at one prefix
+    per orbit of _orbits (see _scan_packed).  That is exact.
+    For each generator R = R_a:
     - R acts on tuples lane by lane.  It is an automorphism, so it
       commutes with both crossings: (x, y) -> (y, x*y) becomes
       (Rx, Ry) -> (Ry, Rx*Ry), and likewise for the inverse operation.
-      So a tuple closes up exactly when its image does, and R maps the
-      colorings with lane-0 color x one to one onto those with R(x).
+      So a tuple closes up exactly when its image does.  R acts on
+      every lane, so it maps the tuples with prefix p one to one onto
+      those with prefix R(p), and the colorings among them likewise.
     - The cocycle check says phi(Rx, Ry) = phi(x, y) f(x*y) / f(x), with
       f = phi(., a).  A positive crossing's under-arc enters with x and
       leaves with x*y.  A negative one weighs phi(z, x)^-1, where
@@ -668,8 +767,8 @@ def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, budge
       strand each under-crossing's out is the next one's in, and in the
       abelian group the factors cancel: R keeps every coloring's weight.
     Compositions of generators keep both properties.  So the colorings
-    with lane-0 color x are those of x's orbit representative moved
-    over, with the same weights, and their state sum is the same.
+    with prefix p are those of p's orbit representative moved over,
+    with the same weights, and their state sum is the same.
     """
     q, s = quandle.size, word.strands
     if exceeds_budget(q, s, budget):
@@ -837,14 +936,21 @@ def enumerate_colorings_affine(word: BraidWord, spec: AlexanderQuandleSpec, budg
     including order.
 
     Raises ValueError, before any lane is built, when s * deg exceeds
-    MAX_AFFINE_VARS.  The budget bounds the number of colorings
-    materialized, checked before any are produced.
+    MAX_AFFINE_VARS, or MAX_DIAGONAL_VARS for a system that _kernel_mod
+    solves.  The budget bounds the number of colorings materialized,
+    checked before any are produced.
     """
     mod, deg, s = spec.modulus, len(spec.poly) - 1, word.strands
     n_vars = s * deg
     if n_vars > MAX_AFFINE_VARS:
         raise ValueError(
             f"the affine system has {s} strands x degree {deg} = {n_vars} unknowns, above the cap of {MAX_AFFINE_VARS}"
+        )
+    if n_vars > MAX_DIAGONAL_VARS and (mod not in _PACKED_PRIMES or mod**deg > PACKED_MAX):
+        raise ValueError(
+            f"the affine system has {s} strands x degree {deg} = {n_vars} unknowns, above the cap of "
+            f"{MAX_DIAGONAL_VARS} for a ring over Z_{mod} of {mod}^{deg} elements; a prime modulus with a ring "
+            f"of at most {PACKED_MAX} elements solves up to {MAX_AFFINE_VARS}"
         )
     quandle = build_alexander_quandle(spec)
     places = [mod**e for e in range(deg)]  # an element's index reads its coefficients in base mod

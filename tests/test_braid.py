@@ -2,6 +2,7 @@
 and the closure diagram checks (alternating, reduced)."""
 
 import random
+import re
 import time
 from collections import Counter
 from itertools import groupby, product
@@ -758,6 +759,39 @@ def test_affine_system_is_capped_before_any_lane_is_built(monkeypatch):
     message = rf"^the affine system has {cap + 1} strands x degree 1 = {cap + 1} unknowns, above the cap of {cap}$"
     with pytest.raises(ValueError, match=message):
         enumerate_colorings_affine(BraidWord(cap + 1, (1,)), spec)
+
+
+def test_a_diagonalized_affine_system_has_a_lower_cap(monkeypatch):
+    # composite moduli and rings of more than 16 elements are diagonalized over Z_m, in cubic time
+    cap = braid.MAX_DIAGONAL_VARS
+    assert cap < braid.MAX_AFFINE_VARS
+    z4 = AlexanderQuandleSpec(4, (1, 1))
+    knot = BraidWord(cap, tuple(range(1, cap)))
+    assert enumerate_colorings_affine(knot, z4) == [(c,) * cap for c in range(4)]
+    with pytest.raises(BudgetExceededError, match=rf"^{4**cap} colorings exceed the budget 1$"):
+        enumerate_colorings_affine(BraidWord(cap, ()), z4, budget=1)
+    # a prime modulus over at most 16 elements takes the field solver past this cap
+    assert enumerate_colorings_affine(BraidWord(cap + 1, tuple(range(1, cap + 1))), AlexanderQuandleSpec(3, (1, 1)))
+
+    def refuse(*args):
+        raise AssertionError("a lane was built")
+
+    monkeypatch.setattr(braid, "_scan_tables", refuse)
+    monkeypatch.setattr(braid, "build_alexander_quandle", refuse)
+    for spec, label in [
+        (z4, "Z_4 of 4^1"),
+        (AlexanderQuandleSpec(17, (3, 1)), "Z_17 of 17^1"),
+        (AlexanderQuandleSpec(2, (1, 0, 0, 0, 0, 1)), "Z_2 of 2^5"),
+    ]:
+        deg = len(spec.poly) - 1
+        strands = cap // deg + 1
+        message = (
+            f"the affine system has {strands} strands x degree {deg} = {strands * deg} unknowns, above the cap of "
+            f"{cap} for a ring over {label} elements; a prime modulus with a ring of at most 16 elements solves up "
+            f"to {braid.MAX_AFFINE_VARS}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            enumerate_colorings_affine(BraidWord(strands, (1,)), spec)
 
 
 # -------------------------------------------------------- closure analysis

@@ -255,6 +255,17 @@ def test_an_affine_system_above_the_cap_is_refused_quickly(capsys, argv, unknown
     assert err == f"error: the affine system has {unknowns} unknowns, above the cap of 2048\n"
 
 
+def test_a_composite_affine_system_above_its_cap_is_refused_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["colorings", "B513: s1", "--affine", "--mod", "4", "--poly", "T+1"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the affine system has 513 strands x degree 1 = 513 unknowns, above the cap of 512 for a ring over "
+        "Z_4 of 4^1 elements; a prime modulus with a ring of at most 16 elements solves up to 2048\n"
+    )
+
+
 def test_an_affine_system_at_the_cap_is_solved(capsys):
     # 1024 strands of degree 2 are exactly the cap; all lanes but s1's pair are free
     code, out, err = run(capsys, ["colorings", "B1024: s1", "--affine", "--budget", "1"])

@@ -383,8 +383,8 @@ def test_state_sum_falls_back_above_16(monkeypatch):
 
 
 # ------------------------------------------------ orbit scan against the oracle
-# _scan scans lane 0 at one color per orbit of ScanTables.orbits; _scan_tuples,
-# the per-tuple loop, scans every tuple.
+# The packed scan steps one prefix of the leading lanes per orbit of braid._orbits;
+# _scan_tuples, the per-tuple loop, scans every tuple.
 
 
 def _coboundary(rng, quandle, group):
@@ -394,8 +394,10 @@ def _coboundary(rng, quandle, group):
     return Cocycle(quandle, group, tuple(tuple(group.mul[f[a]][inverse[f[row[b]]]] for b in range(quandle.size)) for a, row in enumerate(quandle.op)))
 
 
-def _orbit_reps(quandle, cocycle):
-    return [rep for rep, _ in braid.ScanTables(quandle, cocycle).orbits]
+def _orbit_reps(quandle, cocycle, width=1):
+    """The representative of each prefix of ``width`` lanes, in prefix order."""
+    orbits = braid._orbits(braid.ScanTables(quandle, cocycle), width)
+    return [rep for _, rep in sorted((x, rep) for rep, orbit in orbits.members.items() for x, _ in orbit)]
 
 
 def _assert_orbit_scan_exact(rng, quandle, cocycles, strands, words=4):
@@ -464,45 +466,122 @@ def test_orbit_scan_over_klein(packed_only):
     _assert_orbit_scan_exact(rng, q, cocycles, [5, 6], words=6)
 
 
-def _lane0_blocks(monkeypatch):
-    """Record (lane-0 color, tuple count) of every chunk the packed scan steps."""
+def test_prefix_orbit_counts_follow_burnside():
+    # the default quandle's translations generate A_4: its 8 three-cycles fix one color, so one
+    # prefix each, and its 3 double transpositions none, so (4^L + 8) / 12 orbits by Burnside's lemma
+    q, c = build_s4(), build_s4_cocycle()
+    for tables in (braid.ScanTables(q, None), braid.ScanTables(q, c)):
+        counts = []
+        for width in range(1, 5):
+            orbits = braid._orbits(tables, width)
+            assert sum(orbits.size.values()) == len(orbits.prefixes) == 4**width
+            assert _orbit_reps(q, tables.cocycle, width).count(0) == orbits.size[0] == len(orbits.members[0])
+            counts.append(len(orbits.size))
+        assert counts == [1, 2, 6, 22] == [(4**width + 8) // 12 for width in range(1, 5)]
+    for quandle, width, count in [
+        (build_alexander_quandle(AlexanderQuandleSpec(5, (3, 1))), 3, 7),
+        (dihedral(3), 5, 41),
+        (build_alexander_quandle(AlexanderQuandleSpec(4, (1, 1))), 4, 72),
+    ]:
+        orbits = braid._orbits(braid.ScanTables(quandle, None), width)
+        assert braid._prefix_width(quandle.size, 10) == width
+        assert len(orbits.size) == count and sum(orbits.size.values()) == quandle.size**width
+
+
+def test_prefix_moves_map_each_prefix_from_its_representative():
+    q = build_alexander_quandle(Z3_T2_MINUS_1)
+    orbits = braid._orbits(braid.ScanTables(q, None), 2)
+    assert sorted(x for orbit in orbits.members.values() for x, _ in orbit) == list(range(81))
+    for rep, orbit in orbits.members.items():
+        assert orbit[0] == (rep, braid._IDENTITY)
+        for x, move in orbit:
+            assert rep <= x and bytes(orbits.prefixes[rep]).translate(move) == bytes(orbits.prefixes[x])
+
+
+@pytest.mark.parametrize("chunk", [3, 7, braid.CHUNK_TUPLES])
+def test_prefix_scan_is_exact_at_every_width(monkeypatch, chunk):
+    # STATES_MAX decides the prefix width; each value below reaches one width from 1 to s.
+    # The packed scan is called directly, since _scan sends small state counts elsewhere.
+    monkeypatch.setattr(braid, "CHUNK_TUPLES", chunk)
+    rng = random.Random(chunk)
+    quandles = [
+        build_s4(), dihedral(3), dihedral(4), dihedral(5), build_alexander_quandle(Z3_T2_MINUS_1),
+        make_quandle(((0, 0, 0), (1, 1, 1), (2, 2, 2))),
+    ]
+    for quandle in quandles:
+        q = quandle.size
+        s = 3 if q > 5 else 4
+        groups = [build_cyclic_group(2), KLEIN]
+        cocycles = [_coboundary(rng, quandle, group) for group in groups]
+        # random weights keep no translation: every prefix is its own orbit
+        cocycles += [Cocycle(quandle, group, _random_cocycle_table(rng, quandle, group)) for group in groups]
+        cocycles.append(build_trivial_cocycle(quandle, build_cyclic_group(3)))  # every weight is the identity
+        words = [random_word(rng, s, rng.randint(1, 6), longest=rng.choice((1, 3))) for _ in range(2)]
+        for width in range(1, s + 1):
+            monkeypatch.setattr(braid, "STATES_MAX", q**width)
+            assert braid._prefix_width(q, s) == width
+            for word in words:
+                assert braid._scan_packed(word, quandle, None) == _scan_tuples(word, quandle, None), (width, word)
+                for cocycle in cocycles:
+                    assert braid._scan_packed(word, quandle, cocycle) == _reference_state_sum(word, cocycle), (width, word)
+
+
+def _stepped_prefixes(monkeypatch, width):
+    """Record, for every chunk the packed scan steps, its tuple count and the prefixes of its blocks."""
     seen = []
     original = braid._step_chunk
 
     def recorded(steps, top, n, *args):
-        seen.append((top[0] & 15, n))
+        lanes = [lane.to_bytes(n, "little") for lane in top[:width]]
+        seen.append((n, sorted(set(zip(*lanes)))))
         return original(steps, top, n, *args)
 
     monkeypatch.setattr(braid, "_step_chunk", recorded)
     return seen
 
 
-def test_orbit_scan_steps_one_lane0_color_of_a_connected_quandle(monkeypatch):
-    seen = _lane0_blocks(monkeypatch)
+def test_orbit_scan_steps_one_prefix_per_orbit_of_a_connected_quandle(monkeypatch):
+    # 8 strands over the default quandle: the first 4 lanes are reduced by orbits, 22 of 256
+    # prefixes, and each representative's block of 4^4 tuples shares one chunk
+    seen = _stepped_prefixes(monkeypatch, 4)
     q, c = build_s4(), build_s4_cocycle()
+    orbits = braid._orbits(braid.ScanTables(q, c), 4)
+    reps = sorted(orbits.prefixes[rep] for rep in orbits.size)
     word = parse_braid("B8: s1 s2^-1 s3 s4^-1 s5 s6^-1 s7 s1^2 s4 s7^-2")
     assert list(cjkls_state_sum(word, q, c).coeffs) == _reference_state_sum(word, c)
-    assert seen == [(0, 4**7)]
+    assert seen == [(22 * 4**4, reps)]
     seen.clear()
     assert braid.enumerate_colorings(word, q) == _scan_tuples(word, q, None)
-    assert seen == [(0, 4**7)]  # few colorings: the other lane-0 colors are mapped
+    assert seen == [(22 * 4**4, reps)]  # few colorings: the rest are mapped
     seen.clear()
     assert braid._scan_packed(word, q, c) == _reference_state_sum(word, c)
-    assert seen == [(0, 4**7)]  # called directly too
+    assert [n for n, _ in seen] == [22 * 4**4]  # called directly too
+
+
+def test_a_four_strand_state_sum_steps_one_tuple_per_orbit(monkeypatch):
+    # 2 x 4^4 colored states do not fit a byte, so the packed scan runs, on the 22 orbits of tuples
+    seen = _stepped_prefixes(monkeypatch, 4)
+    q, c = build_s4(), build_s4_cocycle()
+    word = parse_braid("B4: s1 s2^-1 s3 s1^5")
+    assert braid._scan(word, q, c, 10**9) == _reference_state_sum(word, c)
+    assert [n for n, _ in seen] == [22]
 
 
 def test_dense_colorings_are_scanned_not_mapped(monkeypatch):
     # sigma^3 fixes every pair over S4: every tuple colors, so mapping would cost more than scanning
-    seen = _lane0_blocks(monkeypatch)
+    seen = _stepped_prefixes(monkeypatch, 4)
     q = build_s4()
+    orbits = braid._orbits(braid.ScanTables(q, None), 4)
+    reps = sorted(orbits.prefixes[rep] for rep in orbits.size)
+    members = sorted(set(orbits.prefixes) - set(reps))
     word = parse_braid("B7: s1^3 s2^-3 s3^3 s4^-3 s5^3 s6^-3 s1 s1^-1")
     assert braid.enumerate_colorings(word, q) == _scan_tuples(word, q, None) == list(product(range(4), repeat=7))
-    assert [x for x, _ in seen] == [0, 1, 2, 3]
+    assert seen == [(22 * 4**3, reps), (234 * 4**3, members)]
     seen.clear()
     sparse = parse_braid("B7: s1^3 s2^-3 s3^3 s4^-3 s5^3 s6^-3 s1 s2 s1 s4 s5 s4")
     colorings = braid.enumerate_colorings(sparse, q)
     assert colorings == _scan_tuples(sparse, q, None) and len(colorings) == 64
-    assert [x for x, _ in seen] == [0]
+    assert seen == [(22 * 4**3, reps)]
 
 
 # ---------------------------------------------------------- scan table memos
