@@ -313,20 +313,14 @@ def _pack(high: bytes, low: bytes) -> bytes:
     return (int.from_bytes(high, "little") << 4 | int.from_bytes(low, "little")).to_bytes(len(low), "little")
 
 
-# Entries of each column memo of the packed scan; an entry holds at most CHUNK_TUPLES bytes.
+# Entries of the column memo of the packed scans; an entry holds at most CHUNK_TUPLES bytes.
 COLUMN_MEMO_SIZE = 256
 
 
 @lru_cache(maxsize=COLUMN_MEMO_SIZE)
-def _column(q: int, block: int, size: int) -> int:
-    """Integer whose byte i is color (i // block) % q, for i < size; size is a multiple of block * q."""
-    return int.from_bytes(b"".join(bytes([d]) * block for d in range(q)) * (size // (block * q)), "little")
-
-
-@lru_cache(maxsize=COLUMN_MEMO_SIZE)
-def _head_column(colors: bytes, block: int) -> int:
-    """Integer whose bytes are block copies of each of the colors in turn."""
-    return int.from_bytes(b"".join(bytes([c]) * block for c in colors), "little")
+def _column(colors: bytes, block: int, times: int = 1) -> int:
+    """Integer whose bytes are block copies of each of the colors in turn, the whole repeated ``times`` times."""
+    return int.from_bytes(b"".join(bytes([c]) * block for c in colors) * times, "little")
 
 
 class OrbitPlan(NamedTuple):
@@ -486,14 +480,12 @@ def _compile_steps(runs, tables: ScanTables):
     its weight table is tables.gmul_swapped, which multiplies it in.
     A run that fixes every pair with the identity weight is left out.
     Each run's step comes from the memo _compiled_run; its lane is
-    attached here.
+    attached here.  The steps are yielded as the runs are read.
     """
-    steps = []
     for letter, k in runs:
         step = _compiled_run(tables, 1 if letter > 0 else -1, k)
         if step is not None:
-            steps.append((abs(letter) - 1, *step))
-    return steps
+            yield (abs(letter) - 1, *step)
 
 
 @lru_cache(maxsize=RUN_MEMO_SIZE)
@@ -508,10 +500,11 @@ def _state_table(tables: ScanTables, strands: int, letter: int, k: int) -> bytes
     order = tables.cocycle.group.order if tables.cocycle is not None else 1
     n, size = q**s, order * q**s
     hi, lo = q ** (s - abs(letter)), q ** (s - 1 - abs(letter))
-    x, y = _column(q, hi, size), _column(q, lo, size)  # the colors of the run's two lanes
+    colors = _IDENTITY[:q]
+    x, y = _column(colors, hi, size // (hi * q)), _column(colors, lo, size // (lo * q))  # the run's two lanes
     times_n = (int.from_bytes(tables.gmul, "little") * n).to_bytes(256, "little")
     index = int.from_bytes(bytes(range(n)) * order, "little")
-    weight = _column(order, n, size) << 4
+    weight = _column(_IDENTITY[:order], n) << 4
     low = int.from_bytes(b"\x0f" * size, "little")
     pairs = (x << 4 | y).to_bytes(size, "little")
     moves, weights = _run(tables, 1 if letter > 0 else -1, k)
@@ -546,19 +539,20 @@ def _scan_states(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
     return [diff.count(0) for diff in diffs]
 
 
-def _push(steps, lanes: list[int], n: int, tables: ScanTables, weighted: bool) -> int:
+def _push(steps, lanes: list[int], n: int, tables: ScanTables) -> int:
     """Push n packed colorings, lanes (mutated in place), through the compiled steps.
 
     Lane j is an integer whose n little-endian bytes hold lane j's color
     in each coloring.  A step packs its two lanes into pair bytes with a
     shift and an OR, and one bytes.translate looks up the step's table.
-    Returns the weight column (0 when not ``weighted``), each coloring's
-    group index; weights are multiplied in by a translate over the
-    weight column and the step's factors, packed into one byte each.
+    Returns the weight column, each coloring's group index, which starts
+    at tables.identity (0 without a cocycle); weights are multiplied in
+    by a translate over the weight column and the step's factors, packed
+    into one byte each.
     """
     low = int.from_bytes(b"\x0f" * n, "little")
     high = low << 4
-    weight = int.from_bytes(bytes([tables.identity]) * n, "little") if weighted else 0
+    weight = int.from_bytes(bytes([tables.identity]) * n, "little")
     for a, kind, table, weights in steps:
         left, right = lanes[a], lanes[a + 1]
         pair = (left << 4 | right).to_bytes(n, "little")
@@ -581,22 +575,6 @@ def _push(steps, lanes: list[int], n: int, tables: ScanTables, weighted: bool) -
     return weight
 
 
-def _step_chunk(steps, top, n: int, tables: ScanTables, weighted: bool):
-    """Push the n tuples whose top lanes are the columns ``top`` through the steps (_push).
-
-    Returns (fixed, weight): ``fixed`` has a zero byte exactly where the
-    tuple closes up, i.e. every final lane equals its top lane, and the
-    weight column (0 when not ``weighted``) holds each tuple's group
-    index.
-    """
-    lanes = top[:]
-    weight = _push(steps, lanes, n, tables, weighted)
-    diff = 0
-    for lane, start in zip(lanes, top):
-        diff |= lane ^ start
-    return diff.to_bytes(n, "little"), weight
-
-
 def _prefix_width(q: int, s: int) -> int:
     """The lanes the packed scan reduces by orbits: the most, from 1 to s, whose q ** width prefixes fit STATES_MAX."""
     width = 1
@@ -605,23 +583,31 @@ def _prefix_width(q: int, s: int) -> int:
     return width
 
 
-def _chunks(steps, heads, q: int, trailing: int, tables: ScanTables, weighted: bool):
+def _chunks(steps, heads, q: int, trailing: int, tables: ScanTables):
     """Step, for each head, the block of tuples whose leading lanes spell it and whose trailing lanes run through all colors.
 
     A block holds m = q ** trailing tuples.  Consecutive blocks share a
     chunk of at most CHUNK_TUPLES tuples, block u of a chunk at bytes
-    u * m to (u + 1) * m.  Yields (index of the chunk's first head,
-    fixed, weight) per chunk (_step_chunk).  The chunk's top lanes come
-    from the column memos.
+    u * m to (u + 1) * m.  Each chunk is pushed through the steps
+    (_push), and yields (index of its first head, fixed, weight):
+    ``fixed`` has a zero byte exactly where the tuple closes up, i.e.
+    every final lane equals its top lane, and the weight column holds
+    each tuple's group index.  The chunk's top lanes come from the
+    column memo.
     """
     m = q**trailing
     per = CHUNK_TUPLES // m
     for at in range(0, len(heads), per):
         group = heads[at : at + per]
         n = len(group) * m
-        top = [_head_column(bytes(lane), m) for lane in zip(*group)]
-        top += [_column(q, q**p, n) for p in reversed(range(trailing))]
-        yield at, *_step_chunk(steps, top, n, tables, weighted)
+        top = [_column(bytes(lane), m) for lane in zip(*group)]
+        top += [_column(_IDENTITY[:q], q**p, n // q ** (p + 1)) for p in reversed(range(trailing))]
+        lanes = top[:]
+        weight = _push(steps, lanes, n, tables)
+        diff = 0
+        for lane, start in zip(lanes, top):
+            diff |= lane ^ start
+        yield at, diff.to_bytes(n, "little"), weight
 
 
 def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None):
@@ -629,7 +615,7 @@ def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
 
     Lane j of a chunk is an integer whose little-endian bytes hold lane
     j's color for every candidate tuple of the chunk, so one step moves
-    all of them (_step_chunk).  Fixed tuples are the zero bytes of the
+    all of them (_chunks).  Fixed tuples are the zero bytes of the
     chunk's ``fixed``.
 
     The first _prefix_width lanes, the prefix, are scanned at one
@@ -647,7 +633,7 @@ def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
     """
     q, s = quandle.size, word.strands
     tables = _scan_tables(quandle, cocycle)
-    steps = _compile_steps(word.runs, tables)
+    steps = list(_compile_steps(word.runs, tables))
     width = _prefix_width(q, s)
     orbits = _orbits(tables, width)
     trailing = 0
@@ -656,23 +642,17 @@ def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
     middles = list(product(range(q), repeat=s - width - trailing))
     m = q**trailing
     if cocycle is not None:
-        weighted = any(step[3] is not None for step in steps)
         heads = [orbits.prefixes[rep] + middle for rep in orbits.size for middle in middles]
         sizes = [size for size in orbits.size.values() for _ in middles]
         coeffs = [0] * cocycle.group.order
-        identity = cocycle.group.identity
-        for at, fixed, weight in _chunks(steps, heads, q, trailing, tables, weighted):
-            if weighted:
-                fixed = (int.from_bytes(fixed.translate(_UNFIXED), "little") | weight).to_bytes(len(fixed), "little")
+        for at, fixed, weight in _chunks(steps, heads, q, trailing, tables):
+            fixed = (int.from_bytes(fixed.translate(_UNFIXED), "little") | weight).to_bytes(len(fixed), "little")
             start = 0
             # one count per group element and run of blocks of equal orbit size
             for size, run in groupby(sizes[at : at + len(fixed) // m]):
                 stop = start + len(list(run)) * m
-                if weighted:
-                    for g in range(len(coeffs)):
-                        coeffs[g] += fixed.count(g, start, stop) * size
-                else:
-                    coeffs[identity] += fixed.count(0, start, stop) * size
+                for g in range(len(coeffs)):
+                    coeffs[g] += fixed.count(g, start, stop) * size
                 start = stop
         return coeffs
 
@@ -684,7 +664,7 @@ def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
         high_tails = list(product(range(q), repeat=trailing - trailing // 2))
         row_len, rows = len(low_tails), len(high_tails)
         found = [[] for _ in prefixes]
-        for at, fixed, _ in _chunks(steps, heads, q, trailing, tables, False):
+        for at, fixed, _ in _chunks(steps, heads, q, trailing, tables):
             # visit only the rows of len(low_tails) tuples that hold a coloring
             index = fixed.find(0)
             while index >= 0:
@@ -958,7 +938,7 @@ def enumerate_colorings_affine(word: BraidWord, spec: AlexanderQuandleSpec, budg
         # byte (j, e) of lane i is lane i's color in the basis coloring T^e on lane j
         lanes = [int.from_bytes(bytes(places), "little") << 8 * i * deg for i in range(s)]
         tables = _scan_tables(quandle, None)
-        _push(_compile_steps(word.runs, tables), lanes, n_vars, tables, False)
+        _push(_compile_steps(word.runs, tables), lanes, n_vars, tables)
         digits = _digit_tables(mod, deg)
         rows = [lane.to_bytes(n_vars, "little").translate(digit) for lane in lanes for digit in digits]
         if mod in _PACKED_PRIMES:

@@ -313,7 +313,7 @@ def _cmd_colorings(args) -> int:
                 {
                     "braid": word.canonical(),
                     "count": len(colorings),
-                    "colorings": [list(quandle.label_tuple(c)) for c in colorings],
+                    "colorings": list(map(quandle.label_tuple, colorings)),
                 },
                 sort_keys=True,
             )
@@ -322,7 +322,7 @@ def _cmd_colorings(args) -> int:
         writer = _csv_writer()
         writer.writerow([f"strand_{k + 1}" for k in range(word.strands)])
         for coloring in colorings:
-            writer.writerow(list(quandle.label_tuple(coloring)))
+            writer.writerow(quandle.label_tuple(coloring))
     else:
         print(f"braid: {word.canonical()}")
         print(f"colorings: {len(colorings)}")
@@ -356,7 +356,7 @@ def _cmd_family(args) -> int:
         )
     rows = [*family_rows(family, lo, hi - 1), last]
     if args.format == "json":
-        blocks = sum(row.crossings for row in rows) // sequences._twist_exponent(family)
+        blocks = sum(row.crossings for row in rows) // (3 * family.scale)
         if blocks > MAX_BLOCKS:
             raise ValueError(
                 f"family {family} over n={lo}..{hi} has {blocks} twist blocks in its words, "

@@ -143,14 +143,12 @@ def closed_form_limit(family: FamilyId):
     is returned; every accumulation point lies inside it.
     """
     if family.kind in ("Kn", "Km"):
-        scale = 2 * family.m + 1 if family.kind == "Km" else 1
-        value = _LN2 / (3 * scale)
+        value = _LN2 / (3 * family.scale)
         return (value, value)
     if family.kind == "K0":
         return (0.0, 0.0)
-    scale = 2 * family.m + 1 if family.kind == "KPrimeM" else 1
-    lo = _LN12 / (15 * scale)
-    hi = 4 * _LN2 / (15 * scale)
+    lo = _LN12 / (15 * family.scale)
+    hi = 4 * _LN2 / (15 * family.scale)
     return Box((lo, lo), (hi, hi))
 
 

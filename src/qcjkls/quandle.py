@@ -48,7 +48,7 @@ class QuandleTable:
     labels: tuple[str, ...]
 
     def label_tuple(self, coloring) -> tuple[str, ...]:
-        return tuple(self.labels[i] for i in coloring)
+        return tuple(map(self.labels.__getitem__, coloring))
 
     def to_json(self) -> dict:
         return {

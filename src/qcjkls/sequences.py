@@ -73,6 +73,11 @@ class FamilyId:
     def __str__(self) -> str:
         return self.kind if self.m is None else f"{self.kind}({self.m})"
 
+    @property
+    def scale(self) -> int:
+        """The twist factor 2m + 1 of Km and KPrimeM, 1 for the other families: each block is s_i^(3 * scale)."""
+        return 2 * self.m + 1 if self.kind in ("Km", "KPrimeM") else 1
+
 
 def parse_family_id(text: str) -> FamilyId:
     """Parse "Kn", "Km:2", or "Km(2)" into a FamilyId."""
@@ -116,17 +121,13 @@ def _strands(family: FamilyId, n: int) -> int:
     return 2 * n if family.kind == "K0" else n + 1
 
 
-def _twist_exponent(family: FamilyId) -> int:
-    return 3 * (2 * family.m + 1) if family.kind in ("Km", "KPrimeM") else 3
-
-
 def family_braid(family: FamilyId, n: int) -> BraidWord:
     """The n-th braid word of the family (n >= 1): each block repeated k times.
 
     Adjacent blocks never share a generator, so the blocks are the
     word's maximal runs, and the word is built from them.
     """
-    blocks, k = _blocks(family, n), _twist_exponent(family)
+    blocks, k = _blocks(family, n), 3 * family.scale
     return BraidWord._from_runs(_strands(family, n), tuple(zip(blocks, repeat(k))))
 
 
@@ -159,7 +160,7 @@ def family_texts(family: FamilyId, lo: int, hi: int) -> Iterator[str]:
 
 
 def _texts(family: FamilyId, lo: int, hi: int) -> Iterator[str]:
-    k, top = _twist_exponent(family), _strands(family, hi) - 1
+    k, top = 3 * family.scale, _strands(family, hi) - 1
     texts: dict[int, list[str]] = {}  # parity -> text of block i at index i
     ladders: dict[tuple[int, int, int], tuple[str, list[int], list[int]]] = {}
     for n in range(lo, hi + 1):
@@ -206,7 +207,7 @@ def family_rows(family: FamilyId, lo: int, hi: int) -> Iterator[FamilyRow]:
     """
     if lo < 1:
         raise ValueError(f"family index must be >= 1, got {lo}")
-    scale = 2 * family.m + 1 if family.kind in ("Km", "KPrimeM") else 1
+    scale = family.scale
     if family.kind in ("KPrime", "KPrimeM"):
         m = 0
         for n in range(lo, hi + 1):

@@ -516,6 +516,7 @@ def test_prefix_scan_is_exact_at_every_width(monkeypatch, chunk):
         # random weights keep no translation: every prefix is its own orbit
         cocycles += [Cocycle(quandle, group, _random_cocycle_table(rng, quandle, group)) for group in groups]
         cocycles.append(build_trivial_cocycle(quandle, build_cyclic_group(3)))  # every weight is the identity
+        cocycles.append(build_trivial_cocycle(quandle, KLEIN))  # likewise, at an identity that is not index 0
         words = [random_word(rng, s, rng.randint(1, 6), longest=rng.choice((1, 3))) for _ in range(2)]
         for width in range(1, s + 1):
             monkeypatch.setattr(braid, "STATES_MAX", q**width)
@@ -529,14 +530,14 @@ def test_prefix_scan_is_exact_at_every_width(monkeypatch, chunk):
 def _stepped_prefixes(monkeypatch, width):
     """Record, for every chunk the packed scan steps, its tuple count and the prefixes of its blocks."""
     seen = []
-    original = braid._step_chunk
+    original = braid._push
 
-    def recorded(steps, top, n, *args):
-        lanes = [lane.to_bytes(n, "little") for lane in top[:width]]
-        seen.append((n, sorted(set(zip(*lanes)))))
-        return original(steps, top, n, *args)
+    def recorded(steps, lanes, n, tables):
+        top = [lane.to_bytes(n, "little") for lane in lanes[:width]]
+        seen.append((n, sorted(set(zip(*top)))))
+        return original(steps, lanes, n, tables)
 
-    monkeypatch.setattr(braid, "_step_chunk", recorded)
+    monkeypatch.setattr(braid, "_push", recorded)
     return seen
 
 
