@@ -22,8 +22,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, compress, groupby, product, repeat, starmap
-from math import gcd
-from operator import eq, itemgetter, not_
+from math import gcd, prod
+from operator import eq, itemgetter, mul, not_
 from typing import NamedTuple
 
 from .cocycle import Cocycle, verify_cocycle
@@ -492,27 +492,21 @@ def _compile_steps(runs, tables: ScanTables):
 def _state_table(tables: ScanTables, strands: int, letter: int, k: int) -> bytes:
     """The 256-byte table of _scan_states that takes every colored state through letter^k.
 
-    Built from the run's two-lane tables (_run) by carry-free arithmetic
-    on columns of state bytes.  Like _run, the memo keeps the most
-    recently used runs, so many distinct runs stay bounded.
+    Every top tuple, once per group element w, is pushed through the
+    run's step at once (_push): state w * q**s + i goes to
+    (w * g) * q**s + j, where tuple i ends as tuple j with weight g.
+    Like _run, the memo keeps the most recently used runs, so many
+    distinct runs stay bounded.
     """
     q, s = tables.quandle.size, strands
     order = tables.cocycle.group.order if tables.cocycle is not None else 1
     n, size = q**s, order * q**s
-    hi, lo = q ** (s - abs(letter)), q ** (s - 1 - abs(letter))
-    colors = _IDENTITY[:q]
-    x, y = _column(colors, hi, size // (hi * q)), _column(colors, lo, size // (lo * q))  # the run's two lanes
-    times_n = (int.from_bytes(tables.gmul, "little") * n).to_bytes(256, "little")
-    index = int.from_bytes(bytes(range(n)) * order, "little")
-    weight = _column(_IDENTITY[:order], n) << 4
-    low = int.from_bytes(b"\x0f" * size, "little")
-    pairs = (x << 4 | y).to_bytes(size, "little")
-    moves, weights = _run(tables, 1 if letter > 0 else -1, k)
-    moved = int.from_bytes(pairs.translate(moves), "little")
-    key = (weight | int.from_bytes(pairs.translate(weights), "little")).to_bytes(size, "little")
-    # each byte stays in [0, size), so no sum or difference carries between bytes
-    state = int.from_bytes(key.translate(times_n), "little") + index - x * hi - y * lo
-    return (state + (moved >> 4 & low) * hi + (moved & low) * lo).to_bytes(256, "little")
+    lanes = [_column(_IDENTITY[:q], q ** (s - 1 - p), q**p * order) for p in range(s)]
+    weight = _push(_compile_steps(((letter, k),), tables), lanes, size, tables)
+    products = (_column(_IDENTITY[:order], n) << 4 | weight).to_bytes(size, "little").translate(tables.gmul)
+    # each byte stays in [0, size), so no product or sum carries between bytes
+    state = int.from_bytes(products, "little") * n + sum(lane * q ** (s - 1 - p) for p, lane in enumerate(lanes))
+    return state.to_bytes(size, "little") + _IDENTITY[size:]
 
 
 def _scan_states(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None):
@@ -520,11 +514,11 @@ def _scan_states(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
 
     Byte w * q**s + i names the top tuple of lexicographic index i with
     weight w.  Each distinct run becomes one 256-byte table over these
-    states, built from its two-lane tables by carry-free arithmetic on
-    columns of state bytes, so the word is one bytes.translate per run
-    of the identity-weight states.  Tuple i closes up with weight g where
-    its final state is g * q**s + i.  The tables come from the memo
-    _state_table, looked up once per distinct run of the word.
+    states, built by pushing all of them through the run's packed step,
+    so the word is one bytes.translate per run of the identity-weight
+    states.  Tuple i closes up with weight g where its final state is
+    g * q**s + i.  The tables come from the memo _state_table, looked up
+    once per distinct run of the word.
     """
     q, s = quandle.size, word.strands
     order, identity = (cocycle.group.order, cocycle.group.identity) if cocycle is not None else (1, 0)
@@ -763,7 +757,9 @@ def _scan(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None, budge
 def enumerate_colorings(word: BraidWord, quandle: QuandleTable, budget: int = DEFAULT_BUDGET):
     """All closure colorings as top tuples, in lexicographic index order.
 
-    Walks every quandle_size ** strands candidate, subject to ``budget``.
+    The budget counts all quandle_size ** strands candidate tuples,
+    though the packed scan steps one prefix of leading lanes per orbit
+    (see _scan).
     """
     return _scan(word, quandle, None, budget)
 
@@ -836,15 +832,8 @@ def _kernel_mod(a: list[list[int]], mod: int):
     A's entries must lie in [0, mod); A is reduced in place.
     """
     diag, v = _diagonalize(a, mod)
-    n = len(a[0]) if a else 0
-    steps = []
-    count = 1
-    for j in range(n):
-        d = diag[j] if j < len(diag) else 0
-        g = gcd(d, mod)
-        steps.append((g, mod // g))
-        count *= g
-    return count, v, steps
+    orders = [gcd(diag[j] if j < len(diag) else 0, mod) for j in range(len(v))]
+    return prod(orders), v, [(g, mod // g) for g in orders]
 
 
 @lru_cache
@@ -908,11 +897,18 @@ def enumerate_colorings_affine(word: BraidWord, spec: AlexanderQuandleSpec, budg
     each per packed lane, through the packed scan's steps of the word's
     runs (_compile_steps, _push), and row (i, e) of M is lane i's bytes
     translated to their T^e coefficients; a larger ring pushes each
-    column through the letters with _run_word.  When such a ring's m is
-    prime, the field solver _kernel_prime reduces the packed rows and
-    each coloring is a packed sum of multiples of the kernel basis
-    (_colorings_prime); any other ring is diagonalized over Z_m
-    (_kernel_mod).  Output matches enumerate_colorings exactly,
+    column through the letters with _run_word.
+
+    The kernel is spanned by generators (vector, order): over such a
+    ring with m prime, the field solver _kernel_prime's basis, each of
+    order m; otherwise the free columns of V from _kernel_mod's
+    diagonalization, each scaled by its step.  The colorings are the
+    sums of all multiples of the generators, built one generator at a
+    time.  Over a ring of at most PACKED_MAX elements the sums are packed
+    bytes, reduced by one translate per sum (a byte stays below
+    15 + 15 * 15), and lane i's element index, the sum over e of byte
+    (i, e) * m^e, adds up from the deg slices without carries; a larger
+    ring sums lists.  Output matches enumerate_colorings exactly,
     including order.
 
     Raises ValueError, before any lane is built, when s * deg exceeds
@@ -934,16 +930,14 @@ def enumerate_colorings_affine(word: BraidWord, spec: AlexanderQuandleSpec, budg
         )
     quandle = build_alexander_quandle(spec)
     places = [mod**e for e in range(deg)]  # an element's index reads its coefficients in base mod
-    if quandle.size <= PACKED_MAX:
+    packed = quandle.size <= PACKED_MAX
+    if packed:
         # byte (j, e) of lane i is lane i's color in the basis coloring T^e on lane j
         lanes = [int.from_bytes(bytes(places), "little") << 8 * i * deg for i in range(s)]
         tables = _scan_tables(quandle, None)
         _push(_compile_steps(word.runs, tables), lanes, n_vars, tables)
         digits = _digit_tables(mod, deg)
-        rows = [lane.to_bytes(n_vars, "little").translate(digit) for lane in lanes for digit in digits]
-        if mod in _PACKED_PRIMES:
-            return _colorings_prime(rows, mod, deg, budget)
-        system = [list(row) for row in rows]
+        rows = [bytearray(lane.to_bytes(n_vars, "little").translate(digit)) for lane in lanes for digit in digits]
     else:
         images = []
         for col in range(n_vars):
@@ -952,58 +946,37 @@ def enumerate_colorings_affine(word: BraidWord, spec: AlexanderQuandleSpec, budg
             v[lane] = places[e]  # T^e
             _run_word(word.letters, quandle.op, quandle.inv_op, v)
             images.append([color // place % mod for color in v for place in places])
-        system = [list(row) for row in zip(*images)]
-    for i in range(n_vars):
-        system[i][i] = (system[i][i] - 1) % mod
+        rows = [list(row) for row in zip(*images)]
+    for i, row in enumerate(rows):
+        row[i] = (row[i] - 1) % mod
 
-    count, v, steps = _kernel_mod(system, mod)
+    if packed and mod in _PACKED_PRIMES:
+        generators = [(vector.to_bytes(n_vars, "little"), mod) for vector in _kernel_prime(b"".join(rows), n_vars, mod)]
+    else:
+        _, v, steps = _kernel_mod(list(map(list, rows)), mod)
+        generators = [([row[j] * step % mod for row in v], g) for j, (g, step) in enumerate(steps) if g > 1]
+    count = prod(g for _, g in generators)
     if count > budget:
         raise BudgetExceededError(f"{count} colorings exceed the budget {budget}")
 
-    free = [(j, g, step) for j, (g, step) in enumerate(steps) if g > 1]
-    columns = {j: [v[i][j] % mod for i in range(n_vars)] for j, _, _ in free}
-
-    colorings = []
-    for choice in product(*[range(g) for _, g, _ in free]):
-        x = [0] * n_vars
-        for (j, _, step), k in zip(free, choice):
-            y = k * step % mod
-            x = [xi + ci * y for xi, ci in zip(x, columns[j])]
-        digits = [xi % mod * place for xi, place in zip(x, places * s)]
-        colorings.append(tuple(map(sum, zip(*[iter(digits)] * deg))))
-    colorings.sort()
-    return colorings
-
-
-def _colorings_prime(rows: list[bytes], p: int, deg: int, budget: int) -> list[tuple[int, ...]]:
-    """The colorings of enumerate_colorings_affine from M's rows over a field Z_p[T]/(p(T)).
-
-    Solves (M - I) x == 0 with _kernel_prime.  Each kernel vector x is
-    packed, byte (i, e) holding lane i's coefficient of T^e, and the
-    colorings are the sums of all multiples of the basis, built one
-    basis vector at a time with one reducing translate per sum.  Lane
-    i's element index is then the sum over e of byte (i, e) * p^e, so
-    the deg slices of every e < deg, each read as an integer and scaled,
-    add up to the coloring's bytes without carries.
-    """
-    n = len(rows)
-    matrix = bytearray(b"".join(rows))
-    matrix[:: n + 1] = bytes((x - 1) % p for x in matrix[:: n + 1])
-    basis = _kernel_prime(matrix, n, p)
-    count = p ** len(basis)
-    if count > budget:
-        raise BudgetExceededError(f"{count} colorings exceed the budget {budget}")
-    table = _digit_tables(p, 1)[0]
-    colorings = [bytes(n)]
-    for vector in basis:
-        multiples = [c * vector for c in range(p)]
-        sums = [int.from_bytes(x, "little") for x in colorings]
-        colorings = [(x + k).to_bytes(n, "little").translate(table) for x in sums for k in multiples]
-    if deg > 1:
-        s = n // deg
-        colorings = [
-            sum(int.from_bytes(x[e::deg], "little") * p**e for e in range(deg)).to_bytes(s, "little") for x in colorings
-        ]
+    if packed:
+        table = _digit_tables(mod, 1)[0]
+        colorings = [bytes(n_vars)]
+        for vector, g in generators:
+            multiples = [k * int.from_bytes(bytes(vector), "little") for k in range(g)]
+            sums = [int.from_bytes(x, "little") for x in colorings]
+            colorings = [(x + k).to_bytes(n_vars, "little").translate(table) for x in sums for k in multiples]
+        if deg > 1:
+            colorings = [
+                sum(int.from_bytes(x[e::deg], "little") * place for e, place in enumerate(places)).to_bytes(s, "little")
+                for x in colorings
+            ]
+    else:
+        # the same sums as lists: colors of a ring this large need not fit a byte
+        colorings = [[0] * n_vars]
+        for vector, g in generators:
+            colorings = [[(xi + k * ci) % mod for xi, ci in zip(x, vector)] for x in colorings for k in range(g)]
+        colorings = [list(map(sum, zip(*[iter(map(mul, x, places * s))] * deg))) for x in colorings]
     colorings.sort()
     return list(map(tuple, colorings))
 

@@ -70,8 +70,11 @@ def _parse_poly(text: str) -> tuple[int, ...]:
     compact = text.replace(" ", "")
     if not compact:
         raise ValueError("empty polynomial")
+    pieces = re.findall(r"([+-]?)([^+-]+)", compact)
+    if "".join(map("".join, pieces)) != compact:  # a stray sign, as in "+", "T++1" or "1-"
+        raise ValueError(f"bad polynomial {text!r}")
     coeffs: dict[int, int] = {}
-    for sign_ch, term in re.findall(r"([+-]?)([^+-]+)", compact):
+    for sign_ch, term in pieces:
         match = _TERM.match(term)
         if not match or (match.group(1) is None and "T" not in term):
             raise ValueError(f"bad polynomial term {term!r}")

@@ -31,11 +31,13 @@ def cjkls_state_sum(
 ) -> GroupAlgebraElement:
     """Exact state sum of the braid closure over all colorings.
 
-    Enumerates quandle_size ** strands candidate top tuples (subject to
-    ``budget``) and accumulates the crossing-weight product of each
-    closure coloring.  The coefficient sum of the result equals the
-    number of colorings, so it is at least quandle_size (constant
-    colorings always close up with identity weight).
+    Accumulates the crossing-weight product of each closure coloring.
+    The budget counts all quandle_size ** strands candidate top tuples,
+    though the packed scan steps one prefix of leading lanes per orbit
+    and counts it once per orbit member (see _scan).  The coefficient
+    sum of the result equals the number of colorings, so it is at least
+    quandle_size (constant colorings always close up with identity
+    weight).
     """
     if cocycle.quandle.op != quandle.op:
         raise CocycleError("cocycle is defined over a different quandle")

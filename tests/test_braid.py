@@ -545,15 +545,20 @@ def _affine_outcome(solver, word, spec, budget):
         return str(exc)
 
 
-@pytest.mark.parametrize("modulus", [4, 8, 9])
+@pytest.mark.parametrize("modulus", [4, 6, 8, 9, 12, 15, 16])
 def test_affine_matches_brute_over_composite_moduli(modulus):
     # T + 1 is the dihedral quandle on Z_m; zero divisors of Z_m make the solve mod m nontrivial
     spec = AlexanderQuandleSpec(modulus, (1, 1))
     quandle = build_alexander_quandle(spec)
     rng = random.Random(modulus)
-    for _ in range(15):
-        word = random_word(rng, rng.randint(2, 4), rng.randint(1, 6))
-        assert enumerate_colorings_affine(word, spec) == enumerate_colorings(word, quandle), word
+    words = [random_word(rng, rng.randint(2, 4), rng.randint(1, 6)) for _ in range(15)]
+    # w w^-1 closes every tuple: the kernel is the whole space, modulus ** 4 colorings
+    half = random_word(rng, 4, 6).letters
+    words.append(BraidWord(4, half + tuple(-letter for letter in reversed(half))))
+    for word in words:
+        colorings = enumerate_colorings_affine(word, spec)
+        assert colorings == enumerate_colorings(word, quandle), word
+    assert len(colorings) == modulus**4
 
 
 @pytest.mark.parametrize("modulus, degree", [(4, 2), (4, 3), (4, 4), (6, 2), (6, 3), (8, 2), (8, 3), (9, 2), (9, 3)])

@@ -10,8 +10,9 @@ from _helpers import reference_family_braid, reference_family_stdout
 
 from qcjkls import cli, sequences
 from qcjkls.cli import _parse_range, main
-from qcjkls.cocycle import build_s4_cocycle, save_cocycle
-from qcjkls.quandle import build_s4, save_quandle
+from qcjkls.cocycle import build_s4_cocycle, build_trivial_cocycle, save_cocycle
+from qcjkls.group_algebra import build_cyclic_group
+from qcjkls.quandle import AlexanderQuandleSpec, build_alexander_quandle, build_s4, save_quandle
 
 
 @pytest.fixture(autouse=True)
@@ -186,6 +187,9 @@ def test_colorings_refuses_a_quandle_file_next_to_alexander_options(capsys, tmp_
         code, out, err = run(capsys, ["colorings", "s1^3", "--quandle", str(path), *extra])
         assert (code, out) == (2, ""), extra
         assert "--quandle" in err and "--mod/--poly" in err, extra
+    # a quandle file is no Alexander presentation, so the affine solver refuses it too
+    code, out, err = run(capsys, ["colorings", "s1^3", "--quandle", str(path), "--affine"])
+    assert (code, out, err) == (2, "", "error: --affine needs an Alexander presentation (--mod/--poly or the default)\n")
 
 
 def test_quandle_build_pretty(capsys):
@@ -284,6 +288,30 @@ def test_a_coefficient_numeral_above_4300_digits_is_refused(capsys, head, poly):
     assert err == "error: polynomial coefficient has more than 4300 digits\n"
 
 
+@pytest.mark.parametrize(
+    "poly, coeffs",
+    [
+        ("+", None),
+        ("-", None),
+        ("T+1+", None),
+        ("T++1", None),
+        ("1-", None),
+        ("T^2 + T + 1", (1, 1, 1)),
+        ("+T+1", (1, 1)),
+        ("T-2", (-2, 1)),
+        ("2T", (0, 2)),
+    ],
+)
+@pytest.mark.parametrize("head", [["colorings", "s1^3"], ["quandle", "build", "alexander"]])
+def test_a_polynomial_is_read_only_when_its_signed_terms_spell_it(capsys, head, poly, coeffs):
+    # "+" and "-" failed inside max() over no terms; the others lost a stray sign and read as T+1, T+1 and 1
+    code, out, err = run(capsys, [*head, "--mod", "3", "--poly", poly])
+    if coeffs is None:
+        assert (code, out, err) == (2, "", f"error: bad polynomial {poly!r}\n")
+    else:
+        assert "bad polynomial" not in err and cli._parse_poly(poly) == coeffs
+
+
 def test_a_coefficient_numeral_of_4300_digits_is_read(capsys):
     # 10^4299 = 1 mod 3, and so is the leading-zero numeral: T + 1 over Z_3
     for numeral in ("1" + "0" * 4299, "0" * 4299 + "1"):
@@ -332,6 +360,12 @@ def test_cocycle_check(capsys, tmp_path):
     code, out, err = run(capsys, ["cocycle", "check", str(path)])
     assert code == 1
 
+    del doc["table"]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["cocycle", "check", str(path)])
+    assert code == 1
+    assert out.startswith("load error: ")
+
 
 def test_invariant_verifies_cocycle_file(capsys, tmp_path):
     path = tmp_path / "phi.json"
@@ -349,6 +383,14 @@ def test_invariant_verifies_cocycle_file(capsys, tmp_path):
     code, out, err = run(capsys, ["cocycle", "check", str(path)])
     assert code == 1
     assert len(out.splitlines()) == 10  # the full report, not just the first triple
+
+    # a cocycle over the 3-element dihedral quandle next to a file of the 4-element one
+    quandle_path, cocycle_path = tmp_path / "q4.json", tmp_path / "c3.json"
+    save_quandle(build_s4(), quandle_path)
+    dihedral = build_alexander_quandle(AlexanderQuandleSpec(3, (1, 1)))
+    save_cocycle(build_trivial_cocycle(dihedral, build_cyclic_group(2)), cocycle_path)
+    code, out, err = run(capsys, ["invariant", "s1^3", "--quandle", str(quandle_path), "--cocycle", str(cocycle_path)])
+    assert (code, out, err) == (2, "", "error: --quandle and --cocycle disagree about the quandle\n")
 
 
 def test_invariant_with_quandle_file_uses_trivial_cocycle(capsys, tmp_path):
@@ -695,6 +737,8 @@ def test_limits_needs_enough_samples(capsys):
     code, out, err = run(capsys, ["limits", "--families", "Kn", "--n", "1..2"])
     assert code == 2
     assert "3 samples" in err
+    code, out, err = run(capsys, ["limits", "--families", ","])
+    assert (code, out, err) == (2, "", "error: --families needs at least one family id\n")
 
 
 def test_sample_ranges_are_capped(capsys):
