@@ -38,7 +38,7 @@ DEFAULT_BUDGET = 4**12
 MAX_LETTERS = 10**6
 # Longest numeral (leading zeros dropped) parse_braid converts with int().
 _MAX_DIGITS = len(str(MAX_LETTERS))
-# Characters of a bad token that a syntax error quotes: at most 10 each in a repr.
+# Characters of a bad text that a refusal quotes: at most 10 each in a repr.
 _QUOTE_CHARS = 12
 # Cap on the unknowns (strands * ring degree) of the affine coloring system:
 # its packed lanes and rows hold about MAX_AFFINE_VARS ** 2 bytes each.
@@ -47,6 +47,13 @@ MAX_AFFINE_VARS = 2048
 # Python (a composite modulus, or a ring of more than PACKED_MAX elements): a dense
 # 512-unknown system over Z_16 took 3.3 s on a 2-vCPU machine.
 MAX_DIAGONAL_VARS = 512
+
+
+def quote_prefix(value: str | int) -> str:
+    """The first _QUOTE_CHARS characters of value (a text in repr() quotes), then "..." if it is longer."""
+    text = str(value)
+    head = repr(text[:_QUOTE_CHARS]) if isinstance(value, str) else text[:_QUOTE_CHARS]
+    return head + "..." if len(text) > _QUOTE_CHARS else head
 
 
 class BraidSyntaxError(ValueError):
@@ -141,8 +148,7 @@ def _read_token(token: str, declared: int | None, at: int) -> tuple[int, int]:
     """The (letter, count) run one token spells; raises BraidSyntaxError at position ``at``."""
     item = _ITEM.match(token)
     if not item:
-        more = "..." if len(token) > _QUOTE_CHARS else ""
-        raise BraidSyntaxError(f"expected s<i> or s<i>^<e>, got {token[:_QUOTE_CHARS]!r}{more}", at)
+        raise BraidSyntaxError(f"expected s<i> or s<i>^<e>, got {quote_prefix(token)}", at)
     index_digits, sign, exponent_digits = map(str.lstrip, item.groups(""), repeat("0"))
     if len(index_digits) > _MAX_DIGITS:
         raise BraidSyntaxError(f"generator index has more than {_MAX_DIGITS} digits", at)

@@ -22,6 +22,7 @@ import json
 import os
 import re
 import sys
+from operator import attrgetter
 
 from .braid import (
     BudgetExceededError,
@@ -31,6 +32,7 @@ from .braid import (
     enumerate_colorings_affine,
     exceeds_budget,
     parse_braid,
+    quote_prefix,
 )
 from .cocycle import (
     CocycleError,
@@ -72,12 +74,12 @@ def _parse_poly(text: str) -> tuple[int, ...]:
         raise ValueError("empty polynomial")
     pieces = re.findall(r"([+-]?)([^+-]+)", compact)
     if "".join(map("".join, pieces)) != compact:  # a stray sign, as in "+", "T++1" or "1-"
-        raise ValueError(f"bad polynomial {text!r}")
+        raise ValueError(f"bad polynomial {quote_prefix(text)}")
     coeffs: dict[int, int] = {}
     for sign_ch, term in pieces:
         match = _TERM.match(term)
         if not match or (match.group(1) is None and "T" not in term):
-            raise ValueError(f"bad polynomial term {term!r}")
+            raise ValueError(f"bad polynomial term {quote_prefix(term)}")
         numeral = match.group(1)
         if numeral and len(numeral) > MAX_COEFFICIENT_DIGITS:
             raise ValueError(f"polynomial coefficient has more than {MAX_COEFFICIENT_DIGITS} digits")
@@ -98,6 +100,11 @@ def _parse_poly(text: str) -> tuple[int, ...]:
         coeffs[degree] = coeffs.get(degree, 0) + coefficient
     top = max(coeffs)
     return tuple(coeffs.get(d, 0) for d in range(top + 1))
+
+
+def _spec(args) -> AlexanderQuandleSpec:
+    """The Alexander presentation that --mod/--poly name; without --mod, the default quandle's."""
+    return S4_SPEC if args.mod is None else AlexanderQuandleSpec(args.mod, _parse_poly(args.poly))
 
 
 # Cap on the samples one `family` or `limits` command takes: the members of
@@ -121,11 +128,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     else:
         lo = hi = int(text)
     if lo < 1 or hi < lo:
-        raise ValueError(f"bad range {text!r}")
+        raise ValueError(f"bad range {quote_prefix(text)}")
     if hi - lo + 1 > MAX_SAMPLES:
-        raise ValueError(f"range {text!r} has {hi - lo + 1} members, above the cap of {MAX_SAMPLES}")
+        raise ValueError(f"range {quote_prefix(text)} has {quote_prefix(hi - lo + 1)} members, above the cap of {MAX_SAMPLES}")
     if hi > MAX_INDEX:
-        raise ValueError(f"range {text!r} reaches n={hi}, above the index cap of {MAX_INDEX}")
+        raise ValueError(f"range {quote_prefix(text)} reaches n={quote_prefix(hi)}, above the index cap of {MAX_INDEX}")
     return lo, hi
 
 
@@ -133,14 +140,14 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected an integer, got {quote_prefix(text)}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {quote_prefix(value)}")
     return value
 
 
 def _resolve_cache(args) -> InvariantCache | None:
-    path = os.environ.get("QCJKLS_CACHE") or getattr(args, "cache", None)
+    path = os.environ.get("QCJKLS_CACHE") or args.cache
     return InvariantCache(path) if path else None
 
 
@@ -152,17 +159,17 @@ def _load_quandle_cocycle(args):
     A cocycle file must satisfy the 2-cocycle condition, or the state
     sum would not be an invariant.
     """
-    if getattr(args, "cocycle", None):
+    if args.cocycle:
         cocycle = load_cocycle(args.cocycle)
         report = verify_cocycle(cocycle)
         if not report.ok:
             raise CocycleError(f"{args.cocycle} is not a 2-cocycle: {report.lines(cocycle.quandle.labels)[0]}")
-        if getattr(args, "quandle", None):
+        if args.quandle:
             quandle = load_quandle(args.quandle)
             if quandle.op != cocycle.quandle.op:
                 raise CocycleError("--quandle and --cocycle disagree about the quandle")
         return cocycle.quandle, cocycle
-    if getattr(args, "quandle", None):
+    if args.quandle:
         quandle = load_quandle(args.quandle)
         return quandle, build_trivial_cocycle(quandle, build_cyclic_group(2))
     cocycle = build_s4_cocycle()
@@ -177,19 +184,13 @@ def _csv_writer():
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _cmd_quandle_build(args) -> int:
-    if args.kind == "s4":
+    if args.kind == "s4":  # --mod/--poly are ignored
         quandle = build_s4()
+    elif args.mod is None or args.poly is None:
+        raise ValueError("alexander quandles need --mod and --poly")
     else:
-        if args.mod is None or args.poly is None:
-            print("error: alexander quandles need --mod and --poly", file=sys.stderr)
-            return 2
-        spec = AlexanderQuandleSpec(args.mod, _parse_poly(args.poly))
-        quandle = build_alexander_quandle(spec)
+        quandle = build_alexander_quandle(_spec(args))
     if args.out:
         save_quandle(quandle, args.out)
         print(f"wrote {quandle.size}-element quandle to {args.out}")
@@ -207,35 +208,18 @@ def _cmd_quandle_build(args) -> int:
     return 0
 
 
-def _cmd_quandle_check(args) -> int:
+def _cmd_check(args) -> int:
+    """Load args.file and verify it with the command's loader and verifier; exit 0 iff it passes."""
     try:
-        quandle = load_quandle(args.file)
-    except (QuandleError, ValueError) as exc:
+        document = args.load(args.file)
+    except (QuandleError, CocycleError, ValueError) as exc:
         print(f"load error: {exc}")
         return 1
-    report = verify_quandle_axioms(quandle)
+    report = args.verify(document)
     if report.ok:
-        print(f"ok: quandle axioms hold ({quandle.size} elements)")
+        print(args.ok_line.format(document))
         return 0
-    for line in report.lines(quandle.labels):
-        print(line)
-    return 1
-
-
-def _cmd_cocycle_check(args) -> int:
-    try:
-        cocycle = load_cocycle(args.file)
-    except (CocycleError, QuandleError, ValueError) as exc:
-        print(f"load error: {exc}")
-        return 1
-    report = verify_cocycle(cocycle)
-    if report.ok:
-        print(
-            f"ok: 2-cocycle condition holds "
-            f"({cocycle.quandle.size}-element quandle, group order {cocycle.group.order})"
-        )
-        return 0
-    for line in report.lines(cocycle.quandle.labels):
+    for line in report.lines(args.labels(document)):
         print(line)
     return 1
 
@@ -261,7 +245,7 @@ def _cmd_invariant(args) -> int:
             + [f"z[{l}]" for l in labels]
             + [f"f_{k + 1}" for k in range(len(labels))]
         )
-        f_cells = [_g17(x) for x in record.f] if record.f else [""] * len(labels)
+        f_cells = [f"{x:.17g}" for x in record.f] if record.f else [""] * len(labels)
         writer.writerow(
             [record.braid, record.coloring_count, record.crossing_number if record.crossing_number else ""]
             + [str(c) for c in record.z.coeffs]
@@ -286,28 +270,18 @@ def _cmd_invariant(args) -> int:
 def _cmd_colorings(args) -> int:
     word = parse_braid(args.braid)
     if args.mod is not None and not args.poly:
-        print("error: --mod needs --poly", file=sys.stderr)
-        return 2
+        raise ValueError("--mod needs --poly")
     if args.quandle and (args.mod is not None or args.poly):
-        print("error: --quandle and --mod/--poly name two different quandles; give one", file=sys.stderr)
-        return 2
+        raise ValueError("--quandle and --mod/--poly name two different quandles; give one")
     if args.poly and args.mod is None:
-        print("error: --poly needs --mod", file=sys.stderr)
-        return 2
+        raise ValueError("--poly needs --mod")
+    if args.affine and args.quandle:
+        raise ValueError("--affine needs an Alexander presentation (--mod/--poly or the default)")
+    spec = _spec(args)
+    quandle = load_quandle(args.quandle) if args.quandle else build_alexander_quandle(spec)
     if args.affine:
-        if args.quandle:
-            print("error: --affine needs an Alexander presentation (--mod/--poly or the default)", file=sys.stderr)
-            return 2
-        spec = AlexanderQuandleSpec(args.mod, _parse_poly(args.poly)) if args.mod is not None else S4_SPEC
-        quandle = build_alexander_quandle(spec)
         colorings = enumerate_colorings_affine(word, spec, budget=args.budget)
     else:
-        if args.quandle:
-            quandle = load_quandle(args.quandle)
-        elif args.mod is not None:
-            quandle = build_alexander_quandle(AlexanderQuandleSpec(args.mod, _parse_poly(args.poly)))
-        else:
-            quandle = build_s4()
         colorings = enumerate_colorings(word, quandle, budget=args.budget)
 
     if args.format == "json":
@@ -383,14 +357,7 @@ def _cmd_family(args) -> int:
             record = compute_invariant(word, cocycle.quandle, cocycle, budget=args.budget, cache=cache)
             checks[i] = "agree" if record.z.coeffs == row.z else "differ"
 
-    report = None
-    if len(rows) >= 3:
-        report = limit_estimate(
-            [(row.n, row.f) for row in rows],
-            tolerance=args.tolerance,
-            family=family,
-            closed_form=closed_form_limit(family),
-        )
+    report = _limit_report(family, rows, args.tolerance) if len(rows) >= 3 else None
 
     one, t = build_cyclic_group(2).labels
     write = sys.stdout.write
@@ -438,6 +405,13 @@ def _cmd_family(args) -> int:
     return 1 if "differ" in checks else 0
 
 
+def _limit_report(family, rows, tolerance):
+    """The limit estimate of a family's rows (their n and f), with the family's closed-form limit."""
+    return limit_estimate(
+        [(row.n, row.f) for row in rows], tolerance=tolerance, family=family, closed_form=closed_form_limit(family)
+    )
+
+
 def _format_region(region) -> str:
     if isinstance(region, Box):
         return f"box lo={_floats(region.lo)} hi={_floats(region.hi)}"
@@ -456,26 +430,14 @@ def _format_report(report) -> str:
 def _cmd_limits(args) -> int:
     families = [parse_family_id(token) for token in args.families.split(",") if token.strip()]
     if not families:
-        print("error: --families needs at least one family id", file=sys.stderr)
-        return 2
+        raise ValueError("--families needs at least one family id")
     lo, hi = _parse_range(args.n)
     if len(families) * (hi - lo + 1) > MAX_SAMPLES:
         raise ValueError(f"{len(families)} families x {hi - lo + 1} members is above the cap of {MAX_SAMPLES} samples")
     if hi - lo < 2:
-        print("error: need at least 3 samples; widen --n", file=sys.stderr)
-        return 2
+        raise ValueError("need at least 3 samples; widen --n")
 
-    reports = []
-    for family in families:
-        samples = [(row.n, row.f) for row in family_rows(family, lo, hi)]
-        reports.append(
-            limit_estimate(
-                samples,
-                tolerance=args.tolerance,
-                family=family,
-                closed_form=closed_form_limit(family),
-            )
-        )
+    reports = [_limit_report(family, family_rows(family, lo, hi), args.tolerance) for family in families]
     matrix = distinguish_limits(reports, tolerance=args.tolerance)
 
     if args.format == "json":
@@ -525,13 +487,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     qb.set_defaults(handler=_cmd_quandle_build)
     qc = qsub.add_parser("check", help="verify the quandle axioms of a file")
     qc.add_argument("file")
-    qc.set_defaults(handler=_cmd_quandle_check)
+    # each loader is looked up when called, so a wrapper set on this module sees the call
+    qc.set_defaults(
+        handler=_cmd_check, load=lambda path: load_quandle(path), verify=verify_quandle_axioms,
+        labels=attrgetter("labels"), ok_line="ok: quandle axioms hold ({0.size} elements)",
+    )
 
     c = sub.add_parser("cocycle", help="check cocycle files")
     csub = c.add_subparsers(dest="subcommand", required=True)
     cc = csub.add_parser("check", help="verify the 2-cocycle condition of a file")
     cc.add_argument("file")
-    cc.set_defaults(handler=_cmd_cocycle_check)
+    cc.set_defaults(
+        handler=_cmd_check, load=lambda path: load_cocycle(path), verify=verify_cocycle, labels=attrgetter("quandle.labels"),
+        ok_line="ok: 2-cocycle condition holds ({0.quandle.size}-element quandle, group order {0.group.order})",
+    )
 
     inv = sub.add_parser("invariant", help="state sum and derived invariants of a braid closure")
     inv.add_argument("braid", help='braid word, e.g. "s1^3" or "B3: s2^-3 s1^3 s2^-3"')
@@ -593,12 +562,9 @@ def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.handler(args)
-    except (QuandleError, CocycleError, ValueError) as exc:
+    except (QuandleError, CocycleError, ValueError, BudgetExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BudgetExceededError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, (BudgetExceededError, OSError)) else 2
 
 
 def run() -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
-from .braid import BraidWord, DEFAULT_BUDGET, _scan, is_alternating_closure, is_reduced_closure
+from .braid import BraidWord, DEFAULT_BUDGET, _scan, is_alternating_closure, is_reduced_closure, quote_prefix
 from .cocycle import Cocycle, CocycleError
 from .group_algebra import GroupAlgebraElement, element_from_json, group_from_labels
 from .quandle import QuandleTable
@@ -57,7 +57,10 @@ def free_energy_per_crossing(z: GroupAlgebraElement, crossing_number: int) -> tu
     """free_energy(z) divided by the crossing number of the underlying diagram."""
     if crossing_number < 1:
         raise ValueError(f"crossing number must be >= 1, got {crossing_number}")
-    return tuple(x / crossing_number for x in free_energy(z))
+    try:
+        return tuple(x / crossing_number for x in free_energy(z))
+    except OverflowError:  # the division turns crossing_number into a float
+        raise ValueError(f"crossing number {quote_prefix(crossing_number)} is above the float range") from None
 
 
 def _derived_crossing_number(word: BraidWord) -> int | None:

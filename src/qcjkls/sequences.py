@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
 
-from .braid import BraidWord
+from .braid import BraidWord, quote_prefix
 from .group_algebra import GroupAlgebraElement, build_cyclic_group
 
 FAMILY_KINDS = ("Kn", "KPrime", "K0", "Km", "KPrimeM")
@@ -63,7 +63,7 @@ class FamilyId:
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family {self.kind!r}; pick from {FAMILY_KINDS}")
+            raise ValueError(f"unknown family {quote_prefix(self.kind)}; pick from {FAMILY_KINDS}")
         if self.kind in ("Km", "KPrimeM"):
             if self.m is None or self.m < 1:
                 raise ValueError(f"family {self.kind} needs an integer parameter m >= 1")
@@ -89,7 +89,7 @@ def parse_family_id(text: str) -> FamilyId:
             try:
                 m = int(rest)
             except ValueError:
-                raise ValueError(f"bad family parameter in {text!r}") from None
+                raise ValueError(f"bad family parameter in {quote_prefix(text)}") from None
             return FamilyId(kind.strip(), m)
     return FamilyId(text)
 
@@ -208,26 +208,31 @@ def family_rows(family: FamilyId, lo: int, hi: int) -> Iterator[FamilyRow]:
     if lo < 1:
         raise ValueError(f"family index must be >= 1, got {lo}")
     scale = family.scale
-    if family.kind in ("KPrime", "KPrimeM"):
-        m = 0
+    try:
+        if family.kind in ("KPrime", "KPrimeM"):
+            m = 0
+            for n in range(lo, hi + 1):
+                if m != (n + 1) // 2:
+                    m = (n + 1) // 2
+                    big, small = 1 << 2 * m - 1, 1 << m - 1  # 4^m / 2 and 2^m / 2
+                    even, odd = (big + small, big - small) if m % 2 == 0 else (big - small, big + small)
+                    log_even, log_odd = math.log(even), math.log(odd)
+                power = n // 2 + 1
+                c = scale * ((15 * n - 9) // 2 if n % 2 == 1 else (15 * n - 12) // 2)
+                ln = 2 * power * _LN2
+                z = (even << 2 * power, odd << 2 * power)
+                yield FamilyRow(n, n + 1, c, z, ((ln + log_even) / c, (ln + log_odd) / c))
+            return
+        k0 = family.kind == "K0"
         for n in range(lo, hi + 1):
-            if m != (n + 1) // 2:
-                m = (n + 1) // 2
-                big, small = 1 << 2 * m - 1, 1 << m - 1  # 4^m / 2 and 2^m / 2
-                even, odd = (big + small, big - small) if m % 2 == 0 else (big - small, big + small)
-                log_even, log_odd = math.log(even), math.log(odd)
-            power = n // 2 + 1
-            c = scale * ((15 * n - 9) // 2 if n % 2 == 1 else (15 * n - 12) // 2)
+            power, strands, c = (2 * n - 1, 2 * n, 3 * n * n + 3 * n - 3) if k0 else (n, n + 1, 3 * scale * (2 * n - 1))
             ln = 2 * power * _LN2
-            z = (even << 2 * power, odd << 2 * power)
-            yield FamilyRow(n, n + 1, c, z, ((ln + log_even) / c, (ln + log_odd) / c))
-        return
-    k0 = family.kind == "K0"
-    for n in range(lo, hi + 1):
-        power, strands, c = (2 * n - 1, 2 * n, 3 * n * n + 3 * n - 3) if k0 else (n, n + 1, 3 * scale * (2 * n - 1))
-        ln = 2 * power * _LN2
-        one = 1 << 2 * power
-        yield FamilyRow(n, strands, c, (one, 3 * one), (ln / c, (ln + _LN3) / c))
+            one = 1 << 2 * power
+            yield FamilyRow(n, strands, c, (one, 3 * one), (ln / c, (ln + _LN3) / c))
+    except OverflowError:  # f divides by c, which a huge m of Km or KPrimeM takes above the float range
+        raise ValueError(
+            f"family {family.kind}({quote_prefix(family.m)}) at n={n} has a crossing count above the float range"
+        ) from None
 
 
 def _row(family: FamilyId, n: int) -> FamilyRow:

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 
 import json
+import math
 import sys
 import time
 import tracemalloc
@@ -145,6 +146,27 @@ def test_colorings_pretty(capsys):
     assert code == 0
     assert "colorings: 16" in out
     assert "  (0, T)" in out
+
+
+_S4_COLORS = ("0", "1", "T", "T+1")
+
+
+@pytest.mark.parametrize(
+    "extra, expected",
+    [
+        (["--format", "json"], json.dumps(
+            {"braid": "B2: s1^3", "colorings": [[a, b] for a in _S4_COLORS for b in _S4_COLORS], "count": 16})),
+        (["--quandle", "QUANDLE"], "braid: B2: s1^3\ncolorings: 16\n" + "\n".join(
+            f"  ({a}, {b})" for a in _S4_COLORS for b in _S4_COLORS)),
+        (["--quandle", "QUANDLE", "--format", "csv"], "strand_1,strand_2\n" + "\n".join(
+            f"{a},{b}" for a in _S4_COLORS for b in _S4_COLORS)),
+    ],
+)
+def test_colorings_keep_their_bytes(capsys, tmp_path, extra, expected):
+    path = tmp_path / "s4.json"
+    save_quandle(build_s4(), path)
+    extra = [str(path) if arg == "QUANDLE" else arg for arg in extra]
+    assert run(capsys, ["colorings", "s1^3", *extra]) == (0, expected + "\n", "")
 
 
 def test_colorings_affine_csv_matches_brute(capsys):
@@ -367,6 +389,55 @@ def test_cocycle_check(capsys, tmp_path):
     assert out.startswith("load error: ")
 
 
+def _swap_op(doc):
+    op = [list(row) for row in doc["op"]]
+    op[0][1], op[3][1] = op[3][1], op[0][1]  # keeps columns bijective
+    return dict(doc, op=op)
+
+
+def _break_table(doc):
+    table = [list(row) for row in doc["table"]]
+    table[0][1] = 0  # phi(a, a) stays the identity; the 2-cocycle condition breaks
+    return dict(doc, table=table)
+
+
+_QUANDLE_VIOLATIONS = (
+    "0 1 0", "0 1 T", "0 1 T+1", "0 T 1", "0 T+1 0", "0 T+1 1", "1 0 1", "1 0 T", "1 T 1", "1 T T+1", "1 T+1 1",
+    "T 0 1", "T T+1 0", "T T+1 1", "T+1 0 1", "T+1 0 T", "T+1 1 0", "T+1 1 T", "T+1 1 T+1", "T+1 T 1", "T+1 T T+1",
+)
+_COCYCLE_VIOLATIONS = (
+    "0 1 0", "0 1 T", "0 1 T+1", "0 T 1", "0 T+1 0", "0 T+1 1", "1 T T+1", "1 T+1 1", "T+1 0 T", "T+1 T 1",
+)
+
+
+@pytest.mark.parametrize(
+    "command, edit, code, expected",
+    [
+        ("quandle", None, 0, "ok: quandle axioms hold (4 elements)\n"),
+        ("cocycle", None, 0, "ok: 2-cocycle condition holds (4-element quandle, group order 2)\n"),
+        ("quandle", _swap_op, 1, "".join(f"self_distributivity violated at {tuple(t.split())}\n" for t in _QUANDLE_VIOLATIONS)),
+        ("cocycle", _break_table, 1, "".join(f"cocycle condition fails at ({', '.join(t.split())})\n" for t in _COCYCLE_VIOLATIONS)),
+        ("quandle", lambda doc: [1, 2], 1, "load error: quandle document must be a JSON object\n"),
+        ("cocycle", lambda doc: [1, 2], 1, "load error: cocycle document must be a JSON object\n"),
+        ("quandle", lambda doc: {k: v for k, v in doc.items() if k != "op"}, 1,
+         "load error: quandle document missing or bad field: 'op'\n"),
+        ("quandle", lambda doc: dict(doc, labels=doc["labels"][:3]), 1, "load error: 3 labels for 4 elements\n"),
+        ("cocycle", lambda doc: dict(doc, table=[[9, *doc["table"][0][1:]], *doc["table"][1:]]), 1,
+         "load error: cocycle entry 9 is not a group index in 0..1\n"),
+        ("cocycle", lambda doc: dict(doc, group_order=0), 1, "load error: group order must be >= 1, got 0\n"),
+    ],
+)
+def test_check_commands_keep_their_stdout_and_status(capsys, tmp_path, command, edit, code, expected):
+    path = tmp_path / "doc.json"
+    if command == "quandle":
+        save_quandle(build_s4(), path)
+    else:
+        save_cocycle(build_s4_cocycle(), path)
+    if edit is not None:
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert run(capsys, [command, "check", str(path)]) == (code, expected, "")
+
+
 def test_invariant_verifies_cocycle_file(capsys, tmp_path):
     path = tmp_path / "phi.json"
     save_cocycle(build_s4_cocycle(), path)
@@ -459,6 +530,22 @@ def test_family_verify_builds_letters(capsys, monkeypatch):
     rows = out.splitlines()[1:51]
     assert all(line.endswith(",agree") for line in rows[:5])
     assert all(line.endswith(",skipped") for line in rows[5:])
+
+
+def test_family_verify_reports_members_whose_words_differ(capsys, monkeypatch):
+    # n = 2 gets member 1's word (other strands), n = 3 a word of member 3's shape but another Z
+    words = {2: reference_family_braid(sequences.FamilyId("Kn"), 1), 3: cli.parse_braid("B4: s1^3 s2^-3 s3^9")}
+    monkeypatch.setattr(sequences, "family_braid", lambda family, n: words.get(n) or reference_family_braid(family, n))
+    code, out, err = run(capsys, ["family", "Kn", "--n", "1..3", "--verify"])
+    assert (code, err) == (1, "")
+    assert out == (
+        "family Kn: n = 1..3\n"
+        "n=1 strands=2 crossings=3 Z=4*1 + 12*t f=(0.46209812037329684, 0.8283022165960001) check=agree\n"
+        "n=2 strands=3 crossings=9 Z=16*1 + 48*t f=(0.3080654135821979, 0.4301334456564323) check=differ\n"
+        "n=3 strands=4 crossings=15 Z=64*1 + 192*t f=(0.2772588722239781, 0.3504996914685188) check=differ\n"
+        "limit[Kn]: converged=False estimate=box lo=(0.2772588722239781, 0.3504996914685188) "
+        "hi=(0.3080654135821979, 0.4301334456564323) closed_form=(0.23104906018664842, 0.23104906018664842)\n"
+    )
 
 
 def test_family_verify_skips_members_without_building_letters(capsys, monkeypatch):
@@ -741,6 +828,79 @@ def test_limits_needs_enough_samples(capsys):
     assert (code, out, err) == (2, "", "error: --families needs at least one family id\n")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["quandle", "build", "alexander"], "alexander quandles need --mod and --poly"),
+        (["quandle", "build", "alexander", "--mod", "3"], "alexander quandles need --mod and --poly"),
+        (["colorings", "s1^3", "--mod", "3"], "--mod needs --poly"),
+        (["colorings", "s1^3", "--mod", "3", "--poly", ""], "--mod needs --poly"),
+        (["colorings", "s1^3", "--poly", "T+1"], "--poly needs --mod"),
+        (["colorings", "s1^3", "--quandle", "QUANDLE", "--mod", "3", "--poly", "T+1"],
+         "--quandle and --mod/--poly name two different quandles; give one"),
+        (["colorings", "s1^3", "--quandle", "QUANDLE", "--affine"],
+         "--affine needs an Alexander presentation (--mod/--poly or the default)"),
+        (["colorings", "s1^", "--quandle", "QUANDLE", "--affine"], "expected s<i> or s<i>^<e>, got 's1^' (at position 0)"),
+        (["colorings", "s1^3", "--quandle", "MISSING", "--affine"],
+         "--affine needs an Alexander presentation (--mod/--poly or the default)"),
+        (["colorings", "s1^3", "--mod", "3", "--poly", "  "], "empty polynomial"),
+        (["colorings", "s1^3", "--mod", "3", "--poly", "T+x"], "bad polynomial term 'x'"),
+        (["quandle", "build", "alexander", "--mod", "3", "--poly", "2T^2+T?"], "bad polynomial term 'T?'"),
+        (["limits", "--families", ","], "--families needs at least one family id"),
+        (["limits", "--families", "Kn", "--n", "1..2"], "need at least 3 samples; widen --n"),
+        (["limits", "--families", "Kn,K0", "--n", "7"], "need at least 3 samples; widen --n"),
+        # a crossing count above the float range failed with OverflowError when f divided by it
+        (["family", f"Km:{10**307}", "--n", "1..3"], "family Km(100000000000...) at n=3 has a crossing count above the float range"),
+        (["limits", "--families", f"KPrimeM:{10**307}", "--n", "1..3"],
+         "family KPrimeM(100000000000...) at n=2 has a crossing count above the float range"),
+        (["invariant", "B2: s1^3", "--assume-crossing-number", str(10**309)], "crossing number 100000000000... is above the float range"),
+    ],
+)
+def test_each_refusal_is_one_error_line(capsys, tmp_path, argv, err):
+    path = tmp_path / "s4.json"
+    save_quandle(build_s4(), path)
+    argv = [str(path) if arg == "QUANDLE" else str(tmp_path / "missing.json") if arg == "MISSING" else arg for arg in argv]
+    assert run(capsys, argv) == (2, "", f"error: {err}\n")
+
+
+def test_crossing_counts_within_the_float_range_keep_their_bytes(capsys):
+    # float(c) first overflows at 2^1024 - 2^970, where c rounds up to 2^1024
+    top = 2**1024 - 2**970
+    code, out, err = run(capsys, ["invariant", "B2: s1^3", "--assume-crossing-number", str(top - 1), "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["f"] == [math.log(4) / float(top - 1), math.log(12) / float(top - 1)]
+    code, out, err = run(capsys, ["invariant", "B2: s1^3", "--assume-crossing-number", str(top)])
+    assert (code, out, err) == (2, "", "error: crossing number 179769313486... is above the float range\n")
+    code, out, err = run(capsys, ["family", f"Km:{10**305}", "--n", "1..3", "--format", "csv"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[3].startswith(f"Km,{10**305},3,4,{15 * (2 * 10**305 + 1)},64,192,")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["colorings", "s1^3", "--mod", "3", "--poly", "T" * 99999 + "+"], "bad polynomial 'TTTTTTTTTTTT'..."),
+        (["colorings", "s1^3", "--mod", "3", "--poly", "T+" + "x" * 99998], "bad polynomial term 'xxxxxxxxxxxx'..."),
+        (["family", "Kn", "--n", "5..1" + " " * 99996], "bad range '5..1        '..."),
+        (["limits", "--families", "Kn", "--n", "1..20000" + " " * 99992],
+         "range '1..20000    '... has 20000 members, above the cap of 10000"),
+        (["family", "Kn", "--n", "1.." + "9" * 4000], "range '1..999999999'... has 999999999999... members, above the cap of 10000"),
+        (["family", "Kn", "--n", "100001" + " " * 99994], "range '100001      '... reaches n=100001, above the index cap of 100000"),
+        (["family", "Kn", "--n", "9" * 4000], "range '999999999999'... reaches n=999999999999..., above the index cap of 100000"),
+        (["limits", "--families", "Kn," + "x" * 10**5],
+         "unknown family 'xxxxxxxxxxxx'...; pick from ('Kn', 'KPrime', 'K0', 'Km', 'KPrimeM')"),
+        (["family", "Km:" + "x" * 10**5, "--n", "1"], "bad family parameter in 'Km:xxxxxxxxx'..."),
+        (["invariant", "s1^3", "--budget", "x" * 10**5], "argument --budget: expected an integer, got 'xxxxxxxxxxxx'..."),
+        (["invariant", "s1^3", "--budget", "-" + "9" * 4000], "argument --budget: must be at least 1, got -99999999999..."),
+    ],
+)
+def test_a_refusal_quotes_at_most_12_characters_of_a_long_text(capsys, argv, message):
+    # each message quoted the whole text: 100,030 bytes of stderr for the first
+    code, out, err = _outcome(capsys, argv)
+    assert code in (2, ("exit", 2)) and out == ""
+    assert err.endswith(f"error: {message}\n") and len(err.encode("utf-8")) < 1024, err[:200]
+
+
 def test_sample_ranges_are_capped(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, ["limits", "--families", "Kn", "--n", "1..100000000"])
@@ -794,14 +954,14 @@ def test_cache_env_var_overrides_flag(capsys, tmp_path, monkeypatch):
         ["family", "Kn", "--n", "1..2", "--verify"],
     ],
 )
-@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("budget", ["0", "-1", "abc"])
 def test_budget_must_be_positive(capsys, argv, budget):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--budget", budget])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--budget" in err
-    assert f"at least 1, got {budget}" in err
+    assert err.endswith("expected an integer, got 'abc'\n" if budget == "abc" else f"at least 1, got {budget}\n")
 
 
 def test_cache_hit_respects_assumed_crossing_number(capsys, tmp_path):
@@ -827,6 +987,15 @@ def test_torn_cache_line_is_skipped(capsys, tmp_path):
         assert (code, out, err) == (0, first, "")
         code, out, err = run(capsys, ["invariant", "s1^-3", "--cache", str(cache), "--format", "json"])
         assert code == 0 and err == ""
+
+
+def test_a_cache_line_with_a_crossing_number_above_the_float_range_is_skipped(capsys, tmp_path):
+    # checking the line's f divided by its crossing number and raised OverflowError out of the cache
+    cache = tmp_path / "c.jsonl"
+    code, first, _ = run(capsys, ["invariant", "s1^3", "--format", "json"])
+    cache.write_text(json.dumps(dict(json.loads(first), crossing_number=10**309)) + "\n")
+    assert run(capsys, ["invariant", "s1^3", "--cache", str(cache), "--format", "json"]) == (0, first, "")
+    assert len(cache.read_text().splitlines()) == 2
 
 
 # argvs whose parses, usage errors, help texts and exit statuses must not depend on the route
