@@ -27,7 +27,7 @@ from operator import eq, itemgetter, mul, not_
 from typing import NamedTuple
 
 from .cocycle import Cocycle, verify_cocycle
-from .quandle import AlexanderQuandleSpec, QuandleTable, build_alexander_quandle, verify_quandle_axioms
+from .quandle import AlexanderQuandleSpec, QuandleTable, build_alexander_quandle, quote_prefix, verify_quandle_axioms
 
 # Cap on the number of candidate top tuples (quandle_size ** strands) a
 # brute-force enumeration will walk, and on the number of colorings the
@@ -38,8 +38,6 @@ DEFAULT_BUDGET = 4**12
 MAX_LETTERS = 10**6
 # Longest numeral (leading zeros dropped) parse_braid converts with int().
 _MAX_DIGITS = len(str(MAX_LETTERS))
-# Characters of a bad text that a refusal quotes: at most 10 each in a repr.
-_QUOTE_CHARS = 12
 # Cap on the unknowns (strands * ring degree) of the affine coloring system:
 # its packed lanes and rows hold about MAX_AFFINE_VARS ** 2 bytes each.
 MAX_AFFINE_VARS = 2048
@@ -47,13 +45,6 @@ MAX_AFFINE_VARS = 2048
 # Python (a composite modulus, or a ring of more than PACKED_MAX elements): a dense
 # 512-unknown system over Z_16 took 3.3 s on a 2-vCPU machine.
 MAX_DIAGONAL_VARS = 512
-
-
-def quote_prefix(value: str | int) -> str:
-    """The first _QUOTE_CHARS characters of value (a text in repr() quotes), then "..." if it is longer."""
-    text = str(value)
-    head = repr(text[:_QUOTE_CHARS]) if isinstance(value, str) else text[:_QUOTE_CHARS]
-    return head + "..." if len(text) > _QUOTE_CHARS else head
 
 
 class BraidSyntaxError(ValueError):
@@ -75,9 +66,8 @@ class BraidWord:
     ``runs`` lists (letter, count) pairs in word order, adjacent runs
     differing in letter; maximal runs are canonical, so two words are
     equal exactly when their strands and runs are.  ``letters`` is the
-    expanded word, built on first access: the scans for quandles of at
-    most PACKED_MAX elements, both closure checks and ``canonical`` read
-    the runs alone.
+    expanded word, built only on request: every scan, the affine solver,
+    both closure checks and ``canonical`` read the runs alone.
     """
 
     strands: int
@@ -93,7 +83,6 @@ class BraidWord:
             raise ValueError(f"letter {first} is not a generator of the {strands}-strand braid group")
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "runs", _maximal_runs(list(zip(letters, repeat(1)))))
-        self.__dict__["letters"] = letters
 
     @classmethod
     def _from_runs(cls, strands: int, runs: tuple[tuple[int, int], ...]) -> BraidWord:
@@ -254,36 +243,28 @@ def parse_braid(text: str) -> BraidWord:
     raise BraidSyntaxError("empty braid word needs a strand prefix like 'B2:'", 0)
 
 
-def _run_word(letters, op, inv_op, v, phi=None, gmul=None, ginv=None, identity=0):
-    """Push colors in v (mutated in place) through the word; returns the weight index."""
-    weight = identity
-    for letter in letters:
-        if letter > 0:
-            a = letter - 1
-            b = letter
+def _run_word(runs, quandle: QuandleTable, cocycle: Cocycle | None, v) -> int:
+    """Push colors in v (mutated in place) through the (letter, count) runs; returns the weight index (0 without a cocycle)."""
+    op, inv_op = quandle.op, quandle.inv_op
+    weight = 0
+    if cocycle is not None:
+        phi, gmul, ginv, weight = cocycle.table, cocycle.group.mul, cocycle.group.inverse_table, cocycle.group.identity
+    for letter, count in runs:
+        a, b = abs(letter) - 1, abs(letter)
+        for _ in range(count):
             x, y = v[a], v[b]
-            v[a] = y
-            v[b] = op[x][y]
-            if phi is not None:
-                weight = gmul[weight][phi[x][y]]
-        else:
-            b = -letter
-            a = b - 1
-            x, y = v[a], v[b]
-            z = inv_op[y][x]
-            v[a] = z
-            v[b] = x
-            if phi is not None:
-                weight = gmul[weight][ginv[phi[z][x]]]
+            if letter > 0:
+                v[a] = y
+                v[b] = op[x][y]
+                if cocycle is not None:
+                    weight = gmul[weight][phi[x][y]]
+            else:
+                z = inv_op[y][x]
+                v[a] = z
+                v[b] = x
+                if cocycle is not None:
+                    weight = gmul[weight][ginv[phi[z][x]]]
     return weight
-
-
-def _weight_args(cocycle: Cocycle | None) -> dict:
-    """_run_word keyword arguments that make it accumulate cocycle weights."""
-    if cocycle is None:
-        return {}
-    group = cocycle.group
-    return {"phi": cocycle.table, "gmul": group.mul, "ginv": group.inverse_table, "identity": group.identity}
 
 
 # Largest quandle size and group order whose indices fit a 4-bit nibble,
@@ -353,9 +334,11 @@ class ScanTables:
     """The byte tables the scans read off one quandle and cocycle (or None).
 
     ``gmul`` maps byte (w << 4) | x to the group product w * x, and
-    ``gmul_swapped`` maps (x << 4) | w to it.  The scans get their
-    tables from _scan_tables, their runs of letters from _run and the
-    packed scan's orbits from _orbits.
+    ``gmul_swapped`` maps (x << 4) | w to it.  ``letter`` maps each sign
+    to the (pair table, weight table) of one letter of that sign (see
+    _run), pushed through _run_word from each of the |X|^2 pairs.  The
+    scans get their tables from _scan_tables, their runs of letters from
+    _compiled_run and the packed scan's orbits from _orbits.
     """
 
     def __init__(self, quandle: QuandleTable, cocycle: Cocycle | None):
@@ -363,6 +346,14 @@ class ScanTables:
         self.identity = cocycle.group.identity if cocycle is not None else 0
         self.gmul = _nibble_table(cocycle.group.mul if cocycle is not None else ())
         self.gmul_swapped = _SWAP_NIBBLES.translate(self.gmul)
+        self.letter = {}
+        for sign in (1, -1):
+            pairs, weights = bytearray(range(256)), bytearray([self.identity]) * 256
+            for x, y in product(range(quandle.size), repeat=2):
+                v = [x, y]
+                weights[x << 4 | y] = _run_word(((sign, 1),), quandle, cocycle, v)
+                pairs[x << 4 | y] = v[0] << 4 | v[1]
+            self.letter[sign] = bytes(pairs), bytes(weights)
 
 
 # Entries of the orbit plan memo: a plan holds at most STATES_MAX prefixes.
@@ -419,34 +410,26 @@ def _orbits(tables: ScanTables, width: int) -> OrbitPlan:
 _scan_tables = lru_cache(ScanTables)
 
 
-# Entries of each run memo.  An entry holds at most two 256-byte tables, so the three
-# full memos (_run, _compiled_run, _state_table) stay under about 2 MB.
+# Entries of each run memo.  An entry holds at most two 256-byte tables, so the two
+# full memos (_compiled_run, _state_table) stay under about 1 MB.
 RUN_MEMO_SIZE = 1024
 
 
-@lru_cache(maxsize=RUN_MEMO_SIZE)
 def _run(tables: ScanTables, sign: int, k: int) -> tuple[bytes, bytes]:
     """The (pair table, weight table) of k >= 1 letters of one sign on one lane pair.
 
     They map a pair byte (x << 4) | y to the pair the run leaves and to
     the run's weight; bytes that are no pair of colors map to themselves
-    with the identity weight.  A single letter comes from _run_word on
-    the |X|^2 pairs, and the run of k composes the run of k // 2 with
-    itself (and one letter more for odd k), so it costs O(log k)
-    compositions.  The memo keeps the most recently used runs, so many
-    distinct exponents stay bounded.
+    with the identity weight.  A single letter's tables are
+    tables.letter[sign], and the run of k composes the run of k // 2
+    with itself (and one letter more for odd k), so it costs O(log k)
+    compositions.  Nothing is memoized here: _compiled_run keeps the
+    runs the scans read.
     """
     if k == 1:
-        quandle, kwargs = tables.quandle, _weight_args(tables.cocycle)
-        pairs, weights = bytearray(range(256)), bytearray([tables.identity]) * 256
-        for x in range(quandle.size):
-            for y in range(quandle.size):
-                v = [x, y]
-                weights[x << 4 | y] = _run_word((sign,), quandle.op, quandle.inv_op, v, **kwargs)
-                pairs[x << 4 | y] = v[0] << 4 | v[1]
-        return bytes(pairs), bytes(weights)
+        return tables.letter[sign]
     pairs, weights = half = _run(tables, sign, k // 2)
-    for then_pairs, then_weights in [half] + [_run(tables, sign, 1)] * (k % 2):
+    for then_pairs, then_weights in [half] + [tables.letter[sign]] * (k % 2):
         pairs, weights = pairs.translate(then_pairs), _pack(weights, pairs.translate(then_weights)).translate(tables.gmul)
     return pairs, weights
 
@@ -456,7 +439,8 @@ def _compiled_run(tables: ScanTables, sign: int, k: int):
     """The packed-scan step (kind, table, weight table) of k >= 1 letters of one sign.
 
     None for a run that fixes every pair with the identity weight; see
-    _compile_steps.  Like _run, the memo keeps the most recently used runs.
+    _compile_steps.  The memo keeps the most recently used runs, so many
+    distinct exponents stay bounded.
     """
     pairs, weights = _run(tables, sign, k)
     if weights.count(tables.identity) == 256:
@@ -501,8 +485,8 @@ def _state_table(tables: ScanTables, strands: int, letter: int, k: int) -> bytes
     Every top tuple, once per group element w, is pushed through the
     run's step at once (_push): state w * q**s + i goes to
     (w * g) * q**s + j, where tuple i ends as tuple j with weight g.
-    Like _run, the memo keeps the most recently used runs, so many
-    distinct runs stay bounded.
+    Like _compiled_run, the memo keeps the most recently used runs, so
+    many distinct runs stay bounded.
     """
     q, s = tables.quandle.size, strands
     order = tables.cocycle.group.order if tables.cocycle is not None else 1
@@ -696,14 +680,11 @@ def _scan_packed(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None
 
 def _scan_tuples(word: BraidWord, quandle: QuandleTable, cocycle: Cocycle | None):
     """Per-tuple reference scan through _run_word; same results as _scan_states and _scan_packed."""
-    kwargs = _weight_args(cocycle)
-    op, inv_op = quandle.op, quandle.inv_op
-    letters = word.letters
     coeffs = [0] * (cocycle.group.order if cocycle is not None else 1)
     found = []
     for top in product(range(quandle.size), repeat=word.strands):
         v = list(top)
-        weight = _run_word(letters, op, inv_op, v, **kwargs)
+        weight = _run_word(word.runs, quandle, cocycle, v)
         if tuple(v) == top:
             found.append(top)
             coeffs[weight] += 1
@@ -903,7 +884,7 @@ def enumerate_colorings_affine(word: BraidWord, spec: AlexanderQuandleSpec, budg
     each per packed lane, through the packed scan's steps of the word's
     runs (_compile_steps, _push), and row (i, e) of M is lane i's bytes
     translated to their T^e coefficients; a larger ring pushes each
-    column through the letters with _run_word.
+    column through the runs with _run_word.
 
     The kernel is spanned by generators (vector, order): over such a
     ring with m prime, the field solver _kernel_prime's basis, each of
@@ -950,7 +931,7 @@ def enumerate_colorings_affine(word: BraidWord, spec: AlexanderQuandleSpec, budg
             lane, e = divmod(col, deg)
             v = [0] * s
             v[lane] = places[e]  # T^e
-            _run_word(word.letters, quandle.op, quandle.inv_op, v)
+            _run_word(word.runs, quandle, None, v)
             images.append([color // place % mod for color in v for place in places])
         rows = [list(row) for row in zip(*images)]
     for i, row in enumerate(rows):

@@ -32,7 +32,6 @@ from .braid import (
     enumerate_colorings_affine,
     exceeds_budget,
     parse_braid,
-    quote_prefix,
 )
 from .cocycle import (
     CocycleError,
@@ -52,6 +51,7 @@ from .quandle import (
     build_alexander_quandle,
     build_s4,
     load_quandle,
+    quote_prefix,
     save_quandle,
     verify_quandle_axioms,
 )
@@ -122,11 +122,10 @@ BATCH_ROWS = 256
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    try:
+        lo, hi = map(int, text.split("..") if ".." in text else (text, text))
+    except ValueError:
+        lo = hi = 0  # not one integer or two joined by "..": a bad range
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range {quote_prefix(text)}")
     if hi - lo + 1 > MAX_SAMPLES:
@@ -136,11 +135,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str, refusal: str = "invalid int value: ") -> int:
+    """int(text); refuses any other text with the refusal (argparse's own by default) and quote_prefix(text)."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {quote_prefix(text)}") from None
+        raise argparse.ArgumentTypeError(refusal + quote_prefix(text)) from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text, "expected an integer, got ")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {quote_prefix(value)}")
     return value
@@ -480,7 +484,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     qsub = q.add_subparsers(dest="subcommand", required=True)
     qb = qsub.add_parser("build", help="construct a quandle table")
     qb.add_argument("kind", choices=("s4", "alexander"))
-    qb.add_argument("--mod", type=int, help="coefficient modulus for alexander")
+    qb.add_argument("--mod", type=_int, help="coefficient modulus for alexander")
     qb.add_argument("--poly", help='quotient polynomial, e.g. "T^2+T+1" or "T-2"')
     qb.add_argument("--out", help="write the quandle JSON to this file")
     add_format(qb, ("pretty", "json"))
@@ -515,7 +519,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     col = sub.add_parser("colorings", help="list closure colorings of a braid")
     col.add_argument("braid")
     col.add_argument("--quandle", help="quandle JSON file")
-    col.add_argument("--mod", type=int, help="Alexander modulus")
+    col.add_argument("--mod", type=_int, help="Alexander modulus")
     col.add_argument("--poly", help="Alexander quotient polynomial")
     col.add_argument("--affine", action="store_true", help="solve the linear fixed-point system instead of enumerating")
     col.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)

@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
-from .braid import BraidWord, DEFAULT_BUDGET, _scan, is_alternating_closure, is_reduced_closure, quote_prefix
+from .braid import BraidWord, DEFAULT_BUDGET, _scan, is_alternating_closure, is_reduced_closure
 from .cocycle import Cocycle, CocycleError
 from .group_algebra import GroupAlgebraElement, element_from_json, group_from_labels
-from .quandle import QuandleTable
+from .quandle import QuandleTable, quote_prefix
 
 
 def cjkls_state_sum(

@@ -28,6 +28,15 @@ from pathlib import Path
 # this size is still exhaustively checkable; anything bigger is refused
 # instead of silently thrashing.
 MAX_QUANDLE_SIZE = 1024
+# Characters of a bad text or number that a refusal quotes: at most 10 each in a repr.
+_QUOTE_CHARS = 12
+
+
+def quote_prefix(value: str | int) -> str:
+    """The first _QUOTE_CHARS characters of value (a text in repr() quotes), then "..." if it is longer."""
+    text = str(value)
+    head = repr(text[:_QUOTE_CHARS]) if isinstance(value, str) else text[:_QUOTE_CHARS]
+    return head + "..." if len(text) > _QUOTE_CHARS else head
 
 
 class QuandleError(Exception):
@@ -178,7 +187,7 @@ def verify_quandle_axioms(q: QuandleTable) -> AxiomReport:
 
 def _normalize_poly(modulus: int, poly) -> tuple[int, ...]:
     if modulus < 2:
-        raise QuandleError(f"coefficient modulus must be >= 2, got {modulus}")
+        raise QuandleError(f"coefficient modulus must be >= 2, got {quote_prefix(modulus)}")
     coeffs = [int(c) % modulus for c in poly]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -186,8 +195,8 @@ def _normalize_poly(modulus: int, poly) -> tuple[int, ...]:
         raise QuandleError("quotient polynomial must have degree >= 1 after reduction")
     if gcd(coeffs[-1], modulus) != 1:
         raise QuandleError(
-            f"leading coefficient {coeffs[-1]} of the quotient polynomial "
-            f"is not a unit mod {modulus}"
+            f"leading coefficient {quote_prefix(coeffs[-1])} of the quotient polynomial "
+            f"is not a unit mod {quote_prefix(modulus)}"
         )
     return tuple(coeffs)
 
@@ -209,7 +218,7 @@ class ResidueRing:
         cap = MAX_QUANDLE_SIZE.bit_length()
         size = modulus ** min(self.degree, cap)
         if size > MAX_QUANDLE_SIZE:
-            count = size if self.degree <= cap else f"{modulus}^{self.degree}"
+            count = quote_prefix(size) if self.degree <= cap else f"{quote_prefix(modulus)}^{self.degree}"
             raise QuandleError(f"ring has {count} elements, above the table budget {MAX_QUANDLE_SIZE}")
         self.size = size
         self._lead_inv = pow(self.poly[-1], -1, modulus)

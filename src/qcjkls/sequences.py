@@ -44,8 +44,9 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
 
-from .braid import BraidWord, quote_prefix
+from .braid import BraidWord
 from .group_algebra import GroupAlgebraElement, build_cyclic_group
+from .quandle import quote_prefix
 
 FAMILY_KINDS = ("Kn", "KPrime", "K0", "Km", "KPrimeM")
 

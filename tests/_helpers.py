@@ -19,7 +19,7 @@ from qcjkls.cocycle import Cocycle, CocycleError, build_s4_cocycle
 from qcjkls.group_algebra import build_cyclic_group
 from qcjkls.invariant import cjkls_state_sum
 from qcjkls.limits import closed_form_limit, limit_estimate
-from qcjkls.quandle import AlexanderQuandleSpec, QuandleTable, ResidueRing, make_quandle
+from qcjkls.quandle import _QUOTE_CHARS, AlexanderQuandleSpec, QuandleTable, ResidueRing, make_quandle
 from qcjkls.sequences import family_rows
 
 
@@ -56,7 +56,7 @@ def reference_parse_braid(text: str) -> BraidWord:
     of zeros, so inputs should keep those short.  MAX_LETTERS is read
     from the braid module at each call, so a patched cap applies; a bad
     token is quoted up to its first _QUOTE_CHARS characters."""
-    max_letters, max_digits, quoted = braid.MAX_LETTERS, braid._MAX_DIGITS, braid._QUOTE_CHARS
+    max_letters, max_digits, quoted = braid.MAX_LETTERS, braid._MAX_DIGITS, _QUOTE_CHARS
     prefix = _REFERENCE_PREFIX.match(text)
     declared = None
     start = 0

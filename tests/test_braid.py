@@ -40,7 +40,7 @@ from qcjkls.braid import (
     _scan_tuples,
 )
 from qcjkls.cocycle import build_s4_cocycle
-from qcjkls.quandle import S4_SPEC, AlexanderQuandleSpec, build_alexander_quandle, build_s4, make_quandle
+from qcjkls.quandle import _QUOTE_CHARS, S4_SPEC, AlexanderQuandleSpec, build_alexander_quandle, build_s4, make_quandle
 from qcjkls.sequences import FamilyId, family_braid
 
 TREFOIL = parse_braid("B2: s1^3")
@@ -151,7 +151,7 @@ def test_syntax_errors_quote_the_same_bounded_prefix_as_the_reference():
         message, position = _parse_outcome(parse_braid, "B4: s1 " + token)
         assert (message, position) == _parse_outcome(reference_parse_braid, "B4: s1 " + token), token
         assert position == 7 and len(message) < 12 * 10 + 80, message
-        assert message.endswith("... (at position 7)") == (len(token) > braid._QUOTE_CHARS), message
+        assert message.endswith("... (at position 7)") == (len(token) > _QUOTE_CHARS), message
 
 
 _SPACES = (" ", " ", " ", "  ", "\t", "\n ", "\u00a0", "\u2003", "\x1c", "\u3000", "\x85", "")
@@ -645,7 +645,7 @@ def test_affine_keeps_the_letter_push_above_16_elements():
         strands = rng.randint(2, 4)
         word = parse_braid(f"B{strands}: " + " ".join(_run_text(rng, strands, 40) for _ in range(rng.randint(1, 5))))
         colorings = enumerate_colorings_affine(word, spec)
-        assert "letters" in word.__dict__  # a ring this large pushes each basis coloring letter by letter
+        assert "letters" not in word.__dict__  # a ring this large pushes each basis coloring through the runs
         assert colorings == reference_affine_colorings(word, spec), word
 
 

@@ -854,6 +854,15 @@ def test_limits_needs_enough_samples(capsys):
         (["limits", "--families", f"KPrimeM:{10**307}", "--n", "1..3"],
          "family KPrimeM(100000000000...) at n=2 has a crossing count above the float range"),
         (["invariant", "B2: s1^3", "--assume-crossing-number", str(10**309)], "crossing number 100000000000... is above the float range"),
+        # a --n end that is not an integer reached int(), which refused it with Python's own message
+        *[([*head, "--n", n], f"bad range {n!r}") for head in (["family", "Kn"], ["limits", "--families", "Kn"])
+          for n in ("1..", "..3", "1..2..3", "a..b")],
+        # a --mod of at most 12 characters is quoted whole, as before the quoting
+        (["colorings", "s1^3", "--mod", "1", "--poly", "T+1"], "coefficient modulus must be >= 2, got 1"),
+        (["colorings", "s1^3", "--mod", "-99999999999", "--poly", "T+1"], "coefficient modulus must be >= 2, got -99999999999"),
+        (["quandle", "build", "alexander", "--mod", "999999999999", "--poly", "T+1"],
+         "ring has 999999999999 elements, above the table budget 1024"),
+        (["colorings", "s1^3", "--mod", "9", "--poly", "3T+1"], "leading coefficient 3 of the quotient polynomial is not a unit mod 9"),
     ],
 )
 def test_each_refusal_is_one_error_line(capsys, tmp_path, argv, err):
@@ -892,6 +901,19 @@ def test_crossing_counts_within_the_float_range_keep_their_bytes(capsys):
         (["family", "Km:" + "x" * 10**5, "--n", "1"], "bad family parameter in 'Km:xxxxxxxxx'..."),
         (["invariant", "s1^3", "--budget", "x" * 10**5], "argument --budget: expected an integer, got 'xxxxxxxxxxxx'..."),
         (["invariant", "s1^3", "--budget", "-" + "9" * 4000], "argument --budget: must be at least 1, got -99999999999..."),
+        # each --mod was echoed whole: 4,055 bytes of stderr for the first, 8,274 for the 8000-digit one
+        (["colorings", "s1^3", "--mod", "9" * 4000, "--poly", "T+1"], "ring has 999999999999... elements, above the table budget 1024"),
+        (["quandle", "build", "alexander", "--mod", "9" * 4000, "--poly", "T+1"],
+         "ring has 999999999999... elements, above the table budget 1024"),
+        (["colorings", "s1^3", "--mod", "-" + "9" * 4000, "--poly", "T+1"], "coefficient modulus must be >= 2, got -99999999999..."),
+        (["colorings", "s1^3", "--mod", "9" * 8000, "--poly", "T+1"], "argument --mod: invalid int value: '999999999999'..."),
+        (["quandle", "build", "alexander", "--mod", "9" * 8000, "--poly", "T+1"], "argument --mod: invalid int value: '999999999999'..."),
+        (["colorings", "s1^3", "--mod", "9" * 4000, "--poly", "3T+1"],
+         "leading coefficient 3 of the quotient polynomial is not a unit mod 999999999999..."),
+        (["family", "Kn", "--n", "9" * 5000], "bad range '999999999999'..."),
+        # argparse's own words for a --mod int() refuses, quoted whole up to 12 characters
+        (["colorings", "s1^3", "--mod", "abc", "--poly", "T+1"], "argument --mod: invalid int value: 'abc'"),
+        (["quandle", "build", "alexander", "--mod", "x" * 12], "argument --mod: invalid int value: 'xxxxxxxxxxxx'"),
     ],
 )
 def test_a_refusal_quotes_at_most_12_characters_of_a_long_text(capsys, argv, message):

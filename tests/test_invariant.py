@@ -382,6 +382,38 @@ def test_state_sum_falls_back_above_16(monkeypatch):
         assert list(cjkls_state_sum(word, quandle, cocycle).coeffs) == _reference_state_sum(word, cocycle), word
 
 
+def test_the_per_tuple_scan_matches_the_letter_by_letter_oracle_above_16():
+    # _scan_tuples walks runs through _run_word, which also builds the single-letter tables the
+    # byte-state and packed scans read; propagate walks the letters by a loop of its own.  Runs
+    # of 1 to 50 letters over the dihedral quandle on Z_17 and over Z_5[T]/(T^2+2), weighed by a
+    # coboundary, by a random table and by the trivial cocycle.
+    rng = random.Random(37)
+    nontrivial = set()
+    for spec, runs in ((AlexanderQuandleSpec(17, (1, 1)), 4), (AlexanderQuandleSpec(5, (2, 0, 1)), 2)):
+        quandle, group = build_alexander_quandle(spec), build_cyclic_group(spec.modulus)
+        g = [rng.randrange(group.order) for _ in range(quandle.size)]
+        coboundary = tuple(tuple((g[a] - g[b]) % group.order for b in quandle.op[a]) for a in range(quandle.size))
+        cocycles = [Cocycle(quandle, group, table) for table in (coboundary, _random_cocycle_table(rng, quandle, group))]
+        trivial = build_trivial_cocycle(quandle, group)
+        for strands in (2, 3):
+            word = parse_braid(f"B{strands}: s1^50 " + " ".join(
+                f"s{rng.randint(1, strands - 1)}^{rng.choice((1, -1)) * rng.randint(1, 50)}" for _ in range(runs)
+            ) + " s1^-1")
+            for cocycle in cocycles:
+                colorings, coeffs = [], [0] * group.order
+                for top in product(range(quandle.size), repeat=strands):
+                    trace = propagate(word, quandle, cocycle, top)
+                    if trace.bottom == top:
+                        colorings.append(top)
+                        coeffs[trace.weight] += 1
+                assert _scan_tuples(word, quandle, cocycle) == coeffs, (spec, word)
+            assert _scan_tuples(word, quandle, None) == colorings, (spec, word)
+            assert _scan_tuples(word, quandle, trivial) == [len(colorings)] + [0] * (group.order - 1), (spec, word)
+            if len(colorings) > quandle.size:
+                nontrivial.add(spec)
+    assert len(nontrivial) == 2  # each quandle colors some word beyond the constant colorings
+
+
 # ------------------------------------------------ orbit scan against the oracle
 # The packed scan steps one prefix of the leading lanes per orbit of braid._orbits;
 # _scan_tuples, the per-tuple loop, scans every tuple.
@@ -586,9 +618,9 @@ def test_dense_colorings_are_scanned_not_mapped(monkeypatch):
 
 
 # ---------------------------------------------------------- scan table memos
-# _scan_tables, _run, _compiled_run and _state_table keep the tables of recent pairs
-# and runs; each test clears them first, so it does not depend on which scans ran before it.
-_SCAN_MEMOS = (braid._scan_tables, braid._run, braid._compiled_run, braid._state_table)
+# _scan_tables, _compiled_run and _state_table keep the tables of recent pairs and runs;
+# each test clears them first, so it does not depend on which scans ran before it.
+_SCAN_MEMOS = (braid._scan_tables, braid._compiled_run, braid._state_table)
 
 
 def _clear_scan_memos():
@@ -626,10 +658,9 @@ def test_a_second_invariant_command_builds_no_run_tables(capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_the_invariant_command_builds_no_letters(capsys, monkeypatch, tmp_path):
-    # the byte-state scan (3 strands), the packed scan (5 strands), both closure checks, the
-    # crossing count, the canonical text and a cache miss and hit all read the runs alone
-    _clear_scan_memos()
+@pytest.fixture
+def parsed_words(monkeypatch):
+    """The words the CLI parses, in order, kept after each command."""
     monkeypatch.delenv("QCJKLS_CACHE", raising=False)
     words = []
 
@@ -638,13 +669,33 @@ def test_the_invariant_command_builds_no_letters(capsys, monkeypatch, tmp_path):
         return words[-1]
 
     monkeypatch.setattr(cli, "parse_braid", parse)
+    return words
+
+
+def test_the_invariant_command_builds_no_letters(capsys, parsed_words, tmp_path):
+    # the byte-state scan (3 strands), the packed scan (5 strands), both closure checks, the
+    # crossing count, the canonical text and a cache miss and hit all read the runs alone
+    _clear_scan_memos()
     cache = str(tmp_path / "cache.jsonl")
     for text in ("B3: s1^2 s2^-7 s1", "s1 s1^2 s2^-1 s2^-2", "B5: s1^3 s2^-3 s3^3 s4^-3 s1"):
         for extra in (["--format", "json"], ["--format", "csv"], ["--cache", cache], ["--cache", cache]):
             assert main(["invariant", text, *extra]) == 0
-    assert len(words) == 12
-    assert all("letters" not in word.__dict__ for word in words)
-    assert words[-1].letters[:4] == (1, 1, 1, -2)  # still built on request
+    assert len(parsed_words) == 12
+    assert all("letters" not in word.__dict__ for word in parsed_words)
+    assert parsed_words[-1].letters[:4] == (1, 1, 1, -2)  # still built on request
+    capsys.readouterr()
+
+
+def test_commands_over_quandles_above_16_build_no_letters(capsys, parsed_words, tmp_path):
+    # the per-tuple scan of invariant and colorings over a 17-element quandle file, and the
+    # affine push over Z_17[T]/(T+3), walk the runs too
+    path = str(tmp_path / "q17.json")
+    save_quandle(build_alexander_quandle(AlexanderQuandleSpec(17, (1, 1))), path)
+    text = "B3: s1^20 s2^-17 s1 s2^3"
+    for argv in (["invariant", "--quandle", path], ["colorings", "--quandle", path], ["colorings", "--affine", "--mod", "17", "--poly", "T+3"]):
+        assert main([argv[0], text, *argv[1:], "--format", "json"]) == 0, argv
+    assert len(parsed_words) == 3
+    assert all("letters" not in word.__dict__ for word in parsed_words)
     capsys.readouterr()
 
 
@@ -691,7 +742,6 @@ def test_run_memos_keep_more_than_128_runs():
     tables = braid._scan_tables(build_s4(), build_s4_cocycle())
     runs = [(letter, k) for k in range(1, 151) for letter in (1, -2)]
     memos = {
-        braid._run: lambda letter, k: braid._run(tables, 1 if letter > 0 else -1, k),
         braid._compiled_run: lambda letter, k: braid._compiled_run(tables, 1 if letter > 0 else -1, k),
         braid._state_table: lambda letter, k: braid._state_table(tables, 3, letter, k),
     }
